@@ -88,14 +88,9 @@ def cmd_curve(args) -> int:
         if args.samples is None:
             # default grid: 201 uniform samples enriched with p0, 1/2, and
             # the exact branch crossings, where the curve kinks
-            grid = curves.default_p_grid(params, samples=201)
+            grid = curves.default_p_grid(params)
         else:
-            n = args.samples
-            grid = (
-                [Fraction(1, 2)]
-                if n == 1
-                else [Fraction(k, n - 1) for k in range(n)]
-            )
+            grid = curves.uniform_p_grid(args.samples)
         lo, hi = min(args.p_min, args.p_max), max(args.p_min, args.p_max)
         grid = [p for p in grid if lo <= p <= hi]
     samples = curves.curve_samples(params, grid)

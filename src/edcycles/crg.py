@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
@@ -22,6 +23,7 @@ GRAY = "gray"
 BLACK = "black"
 VERTEX_COLORS = (WHITE, BLACK)
 EDGE_COLORS = (WHITE, GRAY, BLACK)
+CORPUS_MAX_VERTICES = 8
 
 
 def _pair_index(n: int, i: int, j: int) -> int:
@@ -82,6 +84,8 @@ def crg_from_pairs(
     n = len(vertex_colors)
     edge_colors = [default] * (n * (n - 1) // 2)
     for i, j, color in colored_pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{n - 1}")
         if i == j:
             raise ParameterDomainError("no self-pairs in a CRG")
         if i > j:
@@ -187,12 +191,14 @@ def crg_to_json(K: Crg) -> dict:
 def crg_from_json(obj) -> Crg:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    edges = obj.get("edges", {})
-    return crg_from_pairs(
-        tuple(obj["vertices"]),
-        [(int(i), int(j), c) for i, j, c in edges.get("overrides", [])],
-        default=edges.get("default", GRAY),
-    )
+    try:
+        vertex_colors = tuple(obj["vertices"])
+        edges = obj.get("edges", {})
+        overrides = [(index(i), index(j), c) for i, j, c in edges.get("overrides", [])]
+        default = edges.get("default", GRAY)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterDomainError(f"malformed CRG JSON: {exc}") from exc
+    return crg_from_pairs(vertex_colors, overrides, default=default)
 
 
 def random_crg(rng: random.Random, n: int, gray_weight: float = 1.0) -> Crg:
@@ -204,17 +210,18 @@ def random_crg(rng: random.Random, n: int, gray_weight: float = 1.0) -> Crg:
     return Crg(n, colors, edge_colors)
 
 
-def standard_corpus(seed: int, count: int = 200, max_vertices: int = 8) -> list[Crg]:
+def standard_corpus(seed: int, count: int = 200) -> list[Crg]:
     """Seeded CRG corpus for randomized property suites.
 
     Mixes three styles: uniform edge colors, gray-dominated edge colors (the
     shape p-core CRGs actually take), and all-gray CRGs with random vertex
-    colors.  Deterministic for a fixed seed.
+    colors, each of 1..CORPUS_MAX_VERTICES vertices.  Deterministic for a
+    fixed seed.
     """
     rng = random.Random(seed)
     corpus = []
     for i in range(count):
-        n = rng.randint(1, max_vertices)
+        n = rng.randint(1, CORPUS_MAX_VERTICES)
         style = i % 3
         if style == 0:
             corpus.append(random_crg(rng, n))

@@ -26,26 +26,16 @@ from .graphs import PowerCycleParams
 from .rationals import Number
 
 MAX_STORED_FAILURES = 20
+MAX_POINT_TOL = 1e-12
+CONCAVITY_SAMPLES = 101
 
 
 def _one_like(p: Number) -> Number:
     return Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
 
 
-def gamma_range_ok(params: PowerCycleParams) -> bool:
-    return params.h >= max(params.t * (params.t + 1), 4)
-
-
 def ed_range_ok(params: PowerCycleParams) -> bool:
     return params.h >= 2 * params.t * (params.t + 1) + 1
-
-
-def _require_gamma_range(params: PowerCycleParams) -> None:
-    if not gamma_range_ok(params):
-        bound = max(params.t * (params.t + 1), 4)
-        raise ParameterDomainError(
-            f"closed-form gamma needs h >= max(t(t+1), 4) = {bound}, got h={params.h}"
-        )
 
 
 def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number]]:
@@ -57,7 +47,7 @@ def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number
     """
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
-    _require_gamma_range(params)
+    params.require_gamma_range("closed-form gamma")
     one = _one_like(p)
     t = params.t
     out = [("a=0", (one - p) / (params.ell(0) - 1))]
@@ -172,7 +162,7 @@ def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) ->
 
 def branch_crossings(params: PowerCycleParams) -> list[Fraction]:
     """Exact p values in (0, 1) where two branches of the curve meet."""
-    _require_gamma_range(params)
+    params.require_gamma_range("closed-form gamma")
     t = params.t
     pairs = [(a, params.ell(a)) for a in range(t + 1)]
     crossings = set()
@@ -188,14 +178,19 @@ def branch_crossings(params: PowerCycleParams) -> list[Fraction]:
     return sorted(c for c in crossings if 0 < c < 1)
 
 
-def default_p_grid(params: PowerCycleParams, samples: int = 201) -> list[Fraction]:
-    """Uniform rational grid plus p0, 1/2, and all branch crossings."""
+def uniform_p_grid(samples: int) -> list[Fraction]:
+    """samples evenly spaced rationals from 0 to 1; the single point 1/2 when
+    samples is 1."""
     if samples < 1:
         raise ParameterDomainError("need at least one sample")
     if samples == 1:
-        grid = {Fraction(1, 2)}
-    else:
-        grid = {Fraction(k, samples - 1) for k in range(samples)}
+        return [Fraction(1, 2)]
+    return [Fraction(k, samples - 1) for k in range(samples)]
+
+
+def default_p_grid(params: PowerCycleParams, samples: int = 201) -> list[Fraction]:
+    """Uniform rational grid plus p0, 1/2, and all branch crossings."""
+    grid = set(uniform_p_grid(samples))
     grid.update({params.p0, Fraction(1, 2)})
     grid.update(branch_crossings(params))
     return sorted(grid)
@@ -265,36 +260,31 @@ class MaxPoint:
         return {"p_star": self.p_star, "d_star": self.d_star, "method": self.method}
 
 
-def max_point(
-    curve: Callable[[Number], Number],
-    *,
-    lo: Number = 0,
-    hi: Number = 1,
-    tol: float = 1e-12,
-    concavity_samples: int = 101,
-) -> MaxPoint:
-    """Maximum of a concave curve by ternary search.
+def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
+    """Maximum of a concave curve on [0, 1] by ternary search.
 
-    A three-point midpoint probe runs first; concavity failures raise rather
-    than return a point the search cannot certify.  The bracket is kept in
-    exact rationals when the curve accepts them, so value comparisons near
-    the flat top never fall into float rounding noise; curves that insist on
-    floats still work, at float precision.
+    A three-point midpoint probe on CONCAVITY_SAMPLES points runs first;
+    concavity failures raise rather than return a point the search cannot
+    certify.  The bracket is kept in exact rationals when the curve accepts
+    them, so value comparisons near the flat top never fall into float
+    rounding noise; curves that insist on floats still work, at float
+    precision.  The search stops once the bracket is narrower than
+    MAX_POINT_TOL.
     """
-    a, b = Fraction(lo), Fraction(hi)
+    a, b = Fraction(0), Fraction(1)
     try:
         curve(a)
         probe = curve
     except (TypeError, ValueError):
         probe = lambda p: curve(float(p))
-    step = (b - a) / (concavity_samples - 1)
-    values = [probe(a + i * step) for i in range(concavity_samples)]
-    for i in range(concavity_samples - 2):
+    step = (b - a) / (CONCAVITY_SAMPLES - 1)
+    values = [probe(a + i * step) for i in range(CONCAVITY_SAMPLES)]
+    for i in range(CONCAVITY_SAMPLES - 2):
         if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
             raise NonConcavityError(
                 f"midpoint concavity fails near p={float(a + (i + 1) * step)}"
             )
-    while b - a > tol:
+    while b - a > MAX_POINT_TOL:
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
         left, right = probe(m1), probe(m2)
@@ -322,7 +312,7 @@ def cycle_peak_density(h: int) -> tuple[float, float]:
     return rational_form, root_form
 
 
-def cycle_max_point(h: int, *, tol: float = 1e-12) -> MaxPoint:
+def cycle_max_point(h: int) -> MaxPoint:
     """Peak of the closed-form curve for an ordinary cycle.
 
     Runs the ternary search, then returns whichever closed-form candidate
@@ -330,7 +320,7 @@ def cycle_max_point(h: int, *, tol: float = 1e-12) -> MaxPoint:
     """
     params = PowerCycleParams(h, 1)
     curve = lambda p: gamma_closed(params, p)
-    found = max_point(curve, tol=tol)
+    found = max_point(curve)
     for candidate in sorted(cycle_peak_density(h), key=lambda c: abs(c - found.p_star)):
         if abs(candidate - found.p_star) <= 1e-6:
             return MaxPoint(candidate, curve(candidate), "closed-form")
@@ -446,27 +436,19 @@ def _check_late_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) -
             l0 = -(-h // (t + 1))
             if h >= (t + 1) * (t + 1) + 1:
                 fact.record(denom - half + 1)
-                if not all(
-                    (denom - u) * (t + 1) <= u * (l0 - 1)
-                    for u in range(half, denom + 1)
-                ):
-                    for u in range(half, denom + 1):
-                        if (denom - u) * (t + 1) > u * (l0 - 1):
-                            fact.fail(("chromatic", t, h, u))
-                            break
+                for u in range(half, denom + 1):
+                    if (denom - u) * (t + 1) > u * (l0 - 1):
+                        fact.fail(("chromatic", t, h, u))
+                        break
             for a in range(1, t + 1):
                 if h < (t + 1) * (t + a) + 1:
                     continue
                 la = -(-h // (t + a + 1))
                 fact.record(denom - half + 1)
-                if not all(
-                    a * (denom - u) + (la - 1) * u <= (l0 - 1) * u
-                    for u in range(half, denom + 1)
-                ):
-                    for u in range(half, denom + 1):
-                        if a * (denom - u) + (la - 1) * u > (l0 - 1) * u:
-                            fact.fail(("branch", t, h, a, u))
-                            break
+                for u in range(half, denom + 1):
+                    if a * (denom - u) + (la - 1) * u > (l0 - 1) * u:
+                        fact.fail(("branch", t, h, a, u))
+                        break
 
 
 def _check_early_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) -> None:
@@ -481,14 +463,10 @@ def _check_early_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) 
             for a in range(t + 1):
                 la = ells[a]
                 fact.record(u_cap + 2)
-                if not all(
-                    (t + 1 - a) * (denom - u) >= (la - 1) * u
-                    for u in range(u_cap + 1)
-                ):
-                    for u in range(u_cap + 1):
-                        if (t + 1 - a) * (denom - u) < (la - 1) * u:
-                            fact.fail(("grid", t, h, a, u))
-                            break
+                for u in range(u_cap + 1):
+                    if (t + 1 - a) * (denom - u) < (la - 1) * u:
+                        fact.fail(("grid", t, h, a, u))
+                        break
                 if (t + 1 - a) * (lt - 1) < (la - 1):
                     fact.fail(("p0", t, h, a))
 

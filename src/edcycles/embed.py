@@ -130,18 +130,17 @@ def find_embedding(
     K: Crg,
     *,
     timeout: float | None = DEFAULT_TIMEOUT,
-    max_graph_vertices: int = EMBED_GRAPH_BOUND,
-    max_crg_vertices: int = EMBED_CRG_BOUND,
 ) -> tuple[int, ...] | None:
     """Backtracking search for an embedding; the witness or None.
 
-    Any witness is re-verified against the pairwise conditions before being
-    returned, so a true answer is self-certifying.
+    H may have at most EMBED_GRAPH_BOUND vertices and K at most
+    EMBED_CRG_BOUND.  Any witness is re-verified against the pairwise
+    conditions before being returned, so a true answer is self-certifying.
     """
-    if H.n > max_graph_vertices:
-        raise SizeExceededError(f"graph has {H.n} > {max_graph_vertices} vertices")
-    if K.n > max_crg_vertices:
-        raise SizeExceededError(f"CRG has {K.n} > {max_crg_vertices} vertices")
+    if H.n > EMBED_GRAPH_BOUND:
+        raise SizeExceededError(f"graph has {H.n} > {EMBED_GRAPH_BOUND} vertices")
+    if K.n > EMBED_CRG_BOUND:
+        raise SizeExceededError(f"CRG has {K.n} > {EMBED_CRG_BOUND} vertices")
     if K.n == 0:
         return None if H.n else ()
     if H.n == 0:
@@ -224,8 +223,8 @@ def find_embedding(
     return None
 
 
-def embeds(H: Graph, K: Crg, **kwargs) -> bool:
-    return find_embedding(H, K, **kwargs) is not None
+def embeds(H: Graph, K: Crg, *, timeout: float | None = DEFAULT_TIMEOUT) -> bool:
+    return find_embedding(H, K, timeout=timeout) is not None
 
 
 def gray_cycle_crg(white_count: int, cycle_length: int) -> Crg:
@@ -256,7 +255,8 @@ class GrayCycleReport:
     For every cycle length in [ell(a), floor(h/t)] the constructed CRG must
     admit the cycle power, which is what forbids such gray cycles in any
     avoiding CRG with a white vertices.  Verdicts just outside the window are
-    recorded for context but carry no requirement.
+    recorded for context but carry no requirement, so a length whose CRG
+    would exceed EMBED_CRG_BOUND vertices is left out of them.
     """
 
     h: int
@@ -314,6 +314,6 @@ def gray_cycle_embedding_report(
     for k in range(lo, hi + 1):
         report.required[k] = embeds(H, gray_cycle_crg(a, k), timeout=timeout)
     for k in (lo - 1, hi + 1):
-        if k >= 2:
+        if k >= 2 and a + k <= EMBED_CRG_BOUND:
             report.boundary[k] = embeds(H, gray_cycle_crg(a, k), timeout=timeout)
     return report

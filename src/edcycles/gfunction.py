@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -83,34 +84,46 @@ def _solve_stationary(entries, support: Sequence[int]):
     return [row[m] for row in aug]
 
 
-def _support_candidate(entries, support: Sequence[int]):
-    """Candidate (value, weights-on-support) from one support, or None."""
-    y = _solve_stationary(entries, support)
-    if y is None or any(v < 0 for v in y):
-        return None
-    total = sum(y)
-    if total <= 0:
-        return None
-    return Fraction(1) / total, [v / total for v in y]
+def _stationary_points(entries, vertices: Sequence[int]):
+    """Yield (bits, value, weights) for every support, in bitmask order over
+    the given vertices, whose face has a nonnegative stationary point.
+
+    bits selects the support from vertices, value is 1 / sum(y) for the
+    solution y of M_T y = 1, and weights is y scaled onto the simplex.
+    """
+    m = len(vertices)
+    for bits in range(1, 1 << m):
+        y = _solve_stationary(entries, [vertices[i] for i in range(m) if bits >> i & 1])
+        if y is None or any(v < 0 for v in y):
+            continue
+        total = sum(y)
+        if total <= 0:
+            continue
+        yield bits, Fraction(1) / total, [v / total for v in y]
 
 
 def _exact_min(entries, vertices: Sequence[int]):
-    """Exact minimum of the rate form over the simplex on the given vertices."""
-    best_value = None
-    best_weights = None
-    best_support = None
-    m = len(vertices)
-    for bits in range(1, 1 << m):
-        support = [vertices[i] for i in range(m) if bits >> i & 1]
-        candidate = _support_candidate(entries, support)
-        if candidate is None:
-            continue
-        value, weights = candidate
-        if best_value is None or value < best_value:
-            best_value, best_weights, best_support = value, weights, support
-    if best_value is None:
+    """Exact minimum of the rate form over the simplex on the given vertices.
+
+    Ties go to the lowest bitmask, so weights and supports are reproducible.
+    """
+    best = min(_stationary_points(entries, vertices), key=itemgetter(1), default=None)
+    if best is None:
         raise RuntimeError("no stationary candidate found; zero diagonal entry?")
-    return best_value, best_weights, best_support
+    bits, value, weights = best
+    return value, weights, [v for i, v in enumerate(vertices) if bits >> i & 1]
+
+
+def _recombined_min(entries, blocks, bound: int, caller: str):
+    """Exact minimum over independently solved blocks, recombined by the
+    reciprocal-sum identity 1/g = sum(1/g_i); also the per-block optima."""
+    for block in blocks:
+        if len(block) > bound:
+            raise SizeExceededError(
+                f"{caller}: block of {len(block)} vertices exceeds exact bound {bound}"
+            )
+    pieces = [_exact_min(entries, block) for block in blocks]
+    return Fraction(1) / sum(Fraction(1) / value for value, _, _ in pieces), pieces
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
@@ -153,7 +166,7 @@ def _polish_on_support(M: np.ndarray, x: np.ndarray, fx: float):
     return best_value, best_x
 
 
-def _numeric_min(M: np.ndarray, tol: float, iteration_cap: int):
+def _numeric_min(M: np.ndarray):
     """Projected gradient descent with per-vertex and uniform restarts."""
     n = M.shape[0]
     starts = [np.full(n, 1.0 / n)]
@@ -170,7 +183,7 @@ def _numeric_min(M: np.ndarray, tol: float, iteration_cap: int):
         fx = objective(x)
         alpha = 1.0
         converged = False
-        for _ in range(iteration_cap):
+        for _ in range(NUMERIC_ITERATION_CAP):
             grad = 2.0 * (M @ x)
             moved = False
             while alpha > 1e-18:
@@ -186,12 +199,12 @@ def _numeric_min(M: np.ndarray, tol: float, iteration_cap: int):
             delta = fx - fc
             x, fx = cand, fc
             alpha = min(alpha * 2.0, 1e3)
-            if delta < tol:
+            if delta < NUMERIC_TOL:
                 converged = True
                 break
         if not converged:
             raise NonConvergenceError(
-                f"projected gradient did not converge within {iteration_cap} iterations"
+                f"projected gradient did not converge within {NUMERIC_ITERATION_CAP} iterations"
             )
         fx, x = _polish_on_support(M, x, fx)
         if best_value is None or fx < best_value:
@@ -199,20 +212,11 @@ def _numeric_min(M: np.ndarray, tol: float, iteration_cap: int):
     return best_value, best_x
 
 
-def g_value(
-    K: Crg,
-    p: Number,
-    mode: str = "exact",
-    *,
-    max_exact_vertices: int = EXACT_QP_BOUND,
-    decompose: bool = True,
-    tol: float = NUMERIC_TOL,
-    iteration_cap: int = NUMERIC_ITERATION_CAP,
-) -> GValue:
+def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -> GValue:
     """Global minimum of the rate form over the standard simplex.
 
     Exact mode needs rational p strictly inside (0, 1) (floats are converted
-    to their exact rational value) and enforces the vertex bound per
+    to their exact rational value) and enforces EXACT_QP_BOUND per
     independently-solved block: per component when decompose=True, on the
     whole CRG otherwise.  Setting decompose=False solves the joint program by
     brute support enumeration, which is what lets tests confirm the
@@ -224,9 +228,9 @@ def g_value(
         M = np.array(
             [[float(v) for v in row] for row in rate_matrix(K, float(p)).entries]
         )
-        value, x = _numeric_min(M, tol, iteration_cap)
+        value, x = _numeric_min(M)
         weights = tuple(float(w) for w in x)
-        support = tuple(i for i, w in enumerate(weights) if w > tol)
+        support = tuple(i for i, w in enumerate(weights) if w > NUMERIC_TOL)
         return GValue(value, weights, support, "numeric")
     if mode != "exact":
         raise ParameterDomainError(f"unknown mode {mode!r}")
@@ -238,19 +242,10 @@ def g_value(
         )
     entries = rate_matrix(K, p).entries
     blocks = component_sets(K) if decompose else [tuple(range(K.n))]
-    for block in blocks:
-        if len(block) > max_exact_vertices:
-            raise SizeExceededError(
-                f"g_value: block of {len(block)} vertices exceeds exact bound "
-                f"{max_exact_vertices}"
-            )
-
-    piece = [_exact_min(entries, block) for block in blocks]
-    inverse_total = sum(Fraction(1) / value for value, _, _ in piece)
-    g = Fraction(1) / inverse_total
+    g, pieces = _recombined_min(entries, blocks, EXACT_QP_BOUND, "g_value")
     weights = [Fraction(0)] * K.n
     support = []
-    for (value, block_weights, block_support), block in zip(piece, blocks):
+    for value, block_weights, block_support in pieces:
         scale = g / value
         for v, w in zip(block_support, block_weights):
             weights[v] = w * scale
@@ -259,11 +254,12 @@ def g_value(
     return GValue(g, tuple(weights), tuple(sorted(support)), "exact")
 
 
-def g_endpoint(K: Crg, p: int, *, max_exact_vertices: int = P_CORE_BOUND) -> Fraction:
+def g_endpoint(K: Crg, p: int) -> Fraction:
     """Literal evaluation of the rate form minimum at p = 0 or p = 1.
 
     A white vertex absorbs all weight at p=0 (and a black one at p=1) for a
-    value of zero; otherwise the 0/1-entry program is solved exactly.
+    value of zero; otherwise the 0/1-entry program is solved exactly, up to
+    P_CORE_BOUND vertices per component.
     """
     if p not in (0, 1):
         raise ParameterDomainError("g_endpoint is defined for p in {0, 1} only")
@@ -271,17 +267,7 @@ def g_endpoint(K: Crg, p: int, *, max_exact_vertices: int = P_CORE_BOUND) -> Fra
     if any(c == zero_color for c in K.vertex_colors):
         return Fraction(0)
     entries = rate_matrix(K, Fraction(p)).entries
-    blocks = component_sets(K)
-    for block in blocks:
-        if len(block) > max_exact_vertices:
-            raise SizeExceededError(
-                f"g_endpoint: block of {len(block)} vertices exceeds bound "
-                f"{max_exact_vertices}"
-            )
-    inverse_total = sum(
-        Fraction(1) / _exact_min(entries, block)[0] for block in blocks
-    )
-    return Fraction(1) / inverse_total
+    return _recombined_min(entries, component_sets(K), P_CORE_BOUND, "g_endpoint")[0]
 
 
 def g_krs(r: int, s: int, p: Number) -> Number:
@@ -358,20 +344,14 @@ def degree_report(K: Crg, g: GValue) -> DegreeReport:
 
 def _min_over_subsets(K: Crg, p: Fraction) -> list:
     """For every nonempty vertex subset S (as a bitmask), the exact g of the
-    induced sub-CRG, via one sweep of support candidates plus a subset DP."""
+    induced sub-CRG, via one sweep of stationary points plus a subset DP."""
     n = K.n
-    entries = rate_matrix(K, p).entries
     size = 1 << n
-    best = [None] * size
-    for bits in range(1, size):
-        support = [i for i in range(n) if bits >> i & 1]
-        candidate = _support_candidate(entries, support)
-        if candidate is not None:
-            best[bits] = candidate[0]
     g_min = [None] * size
+    for bits, value, _ in _stationary_points(rate_matrix(K, p).entries, range(n)):
+        g_min[bits] = value
     for bits in range(1, size):
-        value = best[bits]
-        sub = bits
+        value = g_min[bits]
         v = bits
         while v:
             low = v & -v
@@ -383,16 +363,17 @@ def _min_over_subsets(K: Crg, p: Fraction) -> list:
     return g_min
 
 
-def is_p_core(K: Crg, p: Number, *, max_vertices: int = P_CORE_BOUND) -> bool:
+def is_p_core(K: Crg, p: Number) -> bool:
     """Does K strictly beat every proper nonempty induced sub-CRG at this p?
 
     Exact rational comparison when p is given as a rational; a float p is
     converted exactly but the strict gap must then exceed 1e-12, so that
-    float callers cannot mistake roundoff for strictness.
+    float callers cannot mistake roundoff for strictness.  K may have at most
+    P_CORE_BOUND vertices.
     """
-    if K.n > max_vertices:
+    if K.n > P_CORE_BOUND:
         raise SizeExceededError(
-            f"is_p_core: {K.n} vertices exceeds bound {max_vertices}"
+            f"is_p_core: {K.n} vertices exceeds bound {P_CORE_BOUND}"
         )
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)

@@ -1,9 +1,10 @@
 """Simple graphs, powers of cycles, and exact partition oracles.
 
-The searches in this module (chromatic number, partition into independent
-sets and cliques) are exhaustive and exact.  They are deliberately limited to
-small vertex counts and refuse larger instances instead of approximating,
-because downstream verification treats their answers as ground truth.
+The partition search in this module (into independent sets and cliques; the
+chromatic number goes through it too) is exhaustive and exact.  It is
+deliberately limited to small vertex counts and refuses larger instances
+instead of approximating, because downstream verification treats its
+answers as ground truth.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import ParameterDomainError, SizeExceededError
@@ -76,7 +78,12 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(obj) -> Graph:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    try:
+        n = index(obj["n"])
+        edges = [(index(i), index(j)) for i, j in obj["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
+    return Graph.from_edges(n, edges)
 
 
 def power_cycle(h: int, t: int) -> Graph:
@@ -144,68 +151,22 @@ class PowerCycleParams:
     def graph(self) -> Graph:
         return power_cycle(self.h, self.t)
 
-
-def _check_size(n: int, bound: int, what: str) -> None:
-    if n > bound:
-        raise SizeExceededError(f"{what}: {n} vertices exceeds exact-search bound {bound}")
-
-
-def chromatic_number(g: Graph, max_vertices: int = EXACT_SEARCH_BOUND) -> int:
-    """Exact chromatic number by branch-and-bound color assignment."""
-    _check_size(g.n, max_vertices, "chromatic_number")
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adjacency_masks
-
-    # Static order: highest degree first, so conflicts appear early.
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
-
-    # Greedy clique on the ordered vertices gives a lower bound.
-    clique_mask = 0
-    lb = 0
-    for v in order:
-        if clique_mask & ~adj[v] == 0:
-            clique_mask |= 1 << v
-            lb += 1
-
-    def colorable(k: int) -> bool:
-        color_masks = [0] * k
-
-        def place(idx: int, used: int) -> bool:
-            if idx == n:
-                return True
-            v = order[idx]
-            limit = min(used + 1, k)
-            for c in range(limit):
-                if color_masks[c] & adj[v] == 0:
-                    color_masks[c] |= 1 << v
-                    if place(idx + 1, max(used, c + 1)):
-                        return True
-                    color_masks[c] &= ~(1 << v)
-            return False
-
-        return place(0, 0)
-
-    # Greedy coloring upper bound.
-    greedy = {}
-    for v in order:
-        taken = {greedy[u] for u in range(n) if adj[v] >> u & 1 and u in greedy}
-        c = 0
-        while c in taken:
-            c += 1
-        greedy[v] = c
-    ub = max(greedy.values()) + 1
-
-    for k in range(lb, ub):
-        if colorable(k):
-            return k
-    return ub
+    def require_gamma_range(self, what: str) -> None:
+        """Refuse h < max(t(t+1), 4), below which the closed-form curve and
+        its partition witnesses are not established."""
+        bound = max(self.t * (self.t + 1), 4)
+        if self.h < bound:
+            raise ParameterDomainError(
+                f"{what} needs h >= max(t(t+1), 4) = {bound}, got h={self.h}"
+            )
 
 
-def partitionable(
-    g: Graph, r: int, s: int, max_vertices: int = EXACT_SEARCH_BOUND
-) -> bool:
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number: the least r with a partition into r independent sets."""
+    return next(r for r in range(g.n + 1) if partitionable(g, r, 0))
+
+
+def partitionable(g: Graph, r: int, s: int) -> bool:
     """Can V(g) be split into at most r independent sets and at most s cliques?
 
     Backtracking over vertices in index order.  Parts of the same kind are
@@ -215,7 +176,10 @@ def partitionable(
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
-    _check_size(g.n, max_vertices, "partitionable")
+    if g.n > EXACT_SEARCH_BOUND:
+        raise SizeExceededError(
+            f"partitionable: {g.n} vertices exceeds exact-search bound {EXACT_SEARCH_BOUND}"
+        )
     n = g.n
     if n == 0:
         return True
@@ -277,10 +241,7 @@ def spectrum_partition_witness(params: PowerCycleParams, a: int) -> PartitionWit
     h, t = params.h, params.t
     if not 0 <= a <= t:
         raise ParameterDomainError(f"a={a} outside 0..{t}")
-    if h < max(t * (t + 1), 4):
-        raise ParameterDomainError(
-            f"witness construction needs h >= max(t(t+1), 4) = {max(t * (t + 1), 4)}, got h={h}"
-        )
+    params.require_gamma_range("witness construction")
     g = params.graph()
     block = t + a + 1
     k = params.ell(a) - 1
@@ -307,10 +268,7 @@ def chromatic_overshoot_witness(params: PowerCycleParams) -> PartitionWitness:
     clique always absorbs the chromatic overshoot of a nondivisible length.
     """
     h, t = params.h, params.t
-    if h < max(t * (t + 1), 4):
-        raise ParameterDomainError(
-            f"witness construction needs h >= max(t(t+1), 4) = {max(t * (t + 1), 4)}, got h={h}"
-        )
+    params.require_gamma_range("witness construction")
     g = params.graph()
     k = -(-h // (t + 1)) - 1
     independent_sets = tuple(

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ParameterDomainError, TruncatedSpectrumError
 from .gfunction import g_krs
-from .graphs import EXACT_SEARCH_BOUND, Graph, PowerCycleParams, partitionable
+from .graphs import Graph, PowerCycleParams, partitionable
 from .rationals import Number
 
 
@@ -44,12 +44,12 @@ class CliqueSpectrum:
         }
 
 
-def _row_boundary(H: Graph, r: int, hi: int, max_vertices: int) -> int:
+def _row_boundary(H: Graph, r: int, hi: int) -> int:
     """Least s with a valid (r, s)-partition, found by monotone bisection."""
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        if partitionable(H, r, mid, max_vertices=max_vertices):
+        if partitionable(H, r, mid):
             hi = mid
         else:
             lo = mid + 1
@@ -60,8 +60,6 @@ def clique_spectrum(
     H: Graph,
     r_max: int | None = None,
     s_max: int | None = None,
-    *,
-    max_vertices: int = EXACT_SEARCH_BOUND,
 ) -> CliqueSpectrum:
     """Spectrum of Forb(H) up to the given bounds.
 
@@ -74,7 +72,7 @@ def clique_spectrum(
     r = 0
     while True:
         hi = boundaries[-1] if boundaries else n
-        boundary = _row_boundary(H, r, hi, max_vertices)
+        boundary = _row_boundary(H, r, hi)
         boundaries.append(boundary)
         if boundary == 0:
             break  # row boundaries only shrink, so closure is certified
@@ -107,16 +105,9 @@ def clique_spectrum(
     return CliqueSpectrum(pairs, extreme, eff_r_max, eff_s_max, truncated)
 
 
-def power_cycle_spectrum(
-    params: PowerCycleParams, *, max_vertices: int = EXACT_SEARCH_BOUND
-) -> CliqueSpectrum:
+def power_cycle_spectrum(params: PowerCycleParams) -> CliqueSpectrum:
     """Spectrum of a cycle power with bounds that provably cover all extreme points."""
-    return clique_spectrum(
-        params.graph(),
-        r_max=params.chi,
-        s_max=params.ell(0) + 1,
-        max_vertices=max_vertices,
-    )
+    return clique_spectrum(params.graph(), r_max=params.chi, s_max=params.ell(0) + 1)
 
 
 class GammaPoint(NamedTuple):

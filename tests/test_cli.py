@@ -62,6 +62,13 @@ def test_curve_range_error(capsys):
     assert "4" in payload["message"]
 
 
+def test_curve_zero_samples_exits_2(capsys):
+    code, out, err = run(capsys, "curve", "--h", "8", "--t", "1", "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_curve_byte_stable(capsys):
     _, first, _ = run(capsys, "curve", "--h", "9", "--t", "1", "--samples", "31")
     _, second, _ = run(capsys, "curve", "--h", "9", "--t", "1", "--samples", "31")
@@ -84,6 +91,15 @@ def test_spectrum_from_graph_file(capsys, tmp_path):
     assert json.loads(out)["extreme"] == [[0, 2], [1, 1], [2, 0]]
 
 
+def test_spectrum_malformed_graph_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 2]]}))
+    code, out, err = run(capsys, "spectrum", "--graph", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_g_exact_from_crg_file(capsys, tmp_path):
     path = tmp_path / "k11.json"
     path.write_text(json.dumps(crg_to_json(k_rs(1, 1))))
@@ -92,6 +108,15 @@ def test_g_exact_from_crg_file(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["g"] == "2/9"
     assert blob["mode"] == "exact"
+
+
+def test_g_crg_file_without_vertices_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"edges": {"default": "gray", "overrides": []}}))
+    code, out, err = run(capsys, "g", "--crg", str(path), "--p", "1/3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
 
 
 def test_g_krs_shortcut_and_numeric(capsys):

@@ -143,6 +143,18 @@ def test_crg_json_roundtrip():
         assert crg_from_json(blob) == K
 
 
+def test_crg_from_pairs_rejects_out_of_range_index():
+    with pytest.raises(ParameterDomainError):
+        crg_from_pairs((WHITE, BLACK, BLACK), [(0, 3, WHITE)])
+    with pytest.raises(ParameterDomainError):
+        crg_from_pairs((WHITE, BLACK, BLACK), [(-1, 1, WHITE)])
+
+
+def test_crg_from_json_rejects_missing_vertices():
+    with pytest.raises(ParameterDomainError):
+        crg_from_json({"edges": {"default": GRAY, "overrides": []}})
+
+
 def test_crg_json_default_compresses():
     blob = crg_to_json(k_rs(2, 2))
     assert blob["edges"]["default"] == GRAY

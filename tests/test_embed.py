@@ -170,6 +170,13 @@ def test_gray_cycle_below_window_for_plain_cycle():
     assert report.boundary[3] is False
 
 
+def test_gray_cycle_report_skips_boundary_past_crg_bound():
+    # the upper boundary length 15 would need a 15-vertex CRG
+    report = gray_cycle_embedding_report(PowerCycleParams(14, 1), 0)
+    assert report.ok
+    assert report.boundary == {6: False}
+
+
 def test_gray_cycle_report_range_errors():
     with pytest.raises(ParameterDomainError):
         gray_cycle_embedding_report(PowerCycleParams(8, 1), 1)  # a must be < t

@@ -244,3 +244,10 @@ def test_graph_json_roundtrip():
     blob = graph_to_json(g)
     assert blob["edges"] == sorted(blob["edges"])
     assert graph_from_json(blob) == g
+
+
+def test_graph_from_json_rejects_malformed_shapes():
+    with pytest.raises(ParameterDomainError):
+        graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
+    with pytest.raises(ParameterDomainError):
+        graph_from_json({"n": 3.7, "edges": []})  # never truncated to 3
