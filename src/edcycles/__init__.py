@@ -28,8 +28,8 @@ from .curves import (
     MaxPoint,
     black_part_g_bound,
     branch_crossings,
+    curve_peak,
     curve_samples,
-    cycle_max_point,
     default_p_grid,
     ed_closed,
     ed_covered,

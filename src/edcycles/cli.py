@@ -93,6 +93,8 @@ def cmd_curve(args) -> int:
             grid = curves.uniform_p_grid(args.samples)
         lo, hi = min(args.p_min, args.p_max), max(args.p_min, args.p_max)
         grid = [p for p in grid if lo <= p <= hi]
+        if not grid:
+            raise ParameterDomainError(f"no grid point in [{lo}, {hi}]")
     samples = curves.curve_samples(params, grid)
     search = None
     want_search = args.search
@@ -152,40 +154,24 @@ def cmd_embed(args) -> int:
 
 
 def cmd_maxpoint(args) -> int:
-    params = PowerCycleParams(args.h, args.t)
-    if args.t == 1:
-        point = curves.cycle_max_point(args.h)
-    else:
-        point = curves.max_point(lambda p: curves.gamma_closed(params, p))
-    _emit_json(point.to_json(), args.out)
+    _emit_json(curves.curve_peak(PowerCycleParams(args.h, args.t)).to_json(), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "facts":
-        report = {"facts": verify.facts_suite(args.h_max, args.t_max, args.xy_max, args.p_denominator)}
-    elif args.suite == "gray-cycles":
-        report = {"gray_cycles": verify.gray_cycle_suite(timeout=args.timeout)}
-    elif args.suite == "gamma-cross":
-        report = {"gamma_cross": verify.gamma_cross_suite()}
-    elif args.suite == "weights":
-        report = {"weights": verify.weight_suite(seed=args.seed, count=args.count)}
-    elif args.suite == "components":
-        report = {"components": verify.component_suite(seed=args.seed, count=args.count)}
-    else:
-        report = verify.run_all(
-            seed=args.seed,
-            h_max=args.h_max,
-            t_max=args.t_max,
-            xy_max=args.xy_max,
-            p_denominator=args.p_denominator,
-            timeout=args.timeout,
-            corpus_count=args.count,
-        )
-    ok = all(section["ok"] for key, section in report.items() if key != "ok")
-    report["ok"] = ok
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite.replace("-", "_"),)
+    report = verify.run_suites(
+        names,
+        seed=args.seed,
+        h_max=args.h_max,
+        t_max=args.t_max,
+        xy_max=args.xy_max,
+        p_denominator=args.p_denominator,
+        timeout=args.timeout,
+        corpus_count=args.count,
+    )
     _emit_json(report, args.out)
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=("all", "facts", "gray-cycles", "gamma-cross", "weights", "components"),
+        choices=("all", *(name.replace("_", "-") for name in verify.SUITE_NAMES)),
         default="all",
     )
     p_verify.add_argument("--h-max", type=int, default=400)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
-from .rationals import Number
+from .rationals import Number, one_like
 
 WHITE = "white"
 GRAY = "gray"
@@ -53,21 +52,12 @@ class Crg:
             if c not in EDGE_COLORS:
                 raise ParameterDomainError(f"bad edge color {c!r}")
 
-    def vertex_color(self, v: int) -> str:
-        return self.vertex_colors[v]
-
     def edge_color(self, i: int, j: int) -> str:
         if i == j:
             raise ParameterDomainError("no self-pairs in a CRG")
         if i > j:
             i, j = j, i
         return self.edge_colors[_pair_index(self.n, i, j)]
-
-    def white_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.vertex_colors[v] == WHITE]
-
-    def black_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.vertex_colors[v] == BLACK]
 
     def pairs(self) -> Iterable[tuple[int, int, str]]:
         for i in range(self.n):
@@ -121,7 +111,7 @@ class RateMatrix:
 def rate_matrix(K: Crg, p: Number) -> RateMatrix:
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
-    one = Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
+    one = one_like(p)
     by_color = {WHITE: one * p, BLACK: one - p, GRAY: one * 0}
     rows = [[one * 0] * K.n for _ in range(K.n)]
     for v in range(K.n):

@@ -18,20 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, sqrt
+from math import sqrt
 from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
 from .graphs import PowerCycleParams
-from .rationals import Number
+from .rationals import Number, one_like
 
 MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
 CONCAVITY_SAMPLES = 101
-
-
-def _one_like(p: Number) -> Number:
-    return Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
 
 
 def ed_range_ok(params: PowerCycleParams) -> bool:
@@ -48,7 +44,7 @@ def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
     params.require_gamma_range("closed-form gamma")
-    one = _one_like(p)
+    one = one_like(p)
     t = params.t
     out = [("a=0", (one - p) / (params.ell(0) - 1))]
     for a in range(1, t + 1):
@@ -102,7 +98,7 @@ def ed_cycles_closed(h: int, p: Number) -> Number | None:
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
     params = PowerCycleParams(h, 1)
-    one = _one_like(p)
+    one = one_like(p)
     l0, l1 = params.ell(0), params.ell(1)
     middle = (one * p) * (one - p) / ((one - p) + (l1 - 1) * p)
     last = (one - p) / (l0 - 1)
@@ -129,7 +125,7 @@ def gamma_three_term(params: PowerCycleParams, p: Number) -> Number:
         )
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
-    one = _one_like(p)
+    one = one_like(p)
     lt = params.ell(t)
     values = [
         (one - p) / (params.ell(0) - 1),
@@ -152,7 +148,7 @@ def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) ->
         raise ParameterDomainError(f"white_count={white_count} outside 0..{t}")
     if not 0 < p < 1:
         raise ParameterDomainError("bound needs 0 < p < 1")
-    one = _one_like(p)
+    one = one_like(p)
     best = max(
         (a2 - white_count) / (one * p) + (params.ell(a2) - 1) / (one - p)
         for a2 in range(t + 1)
@@ -265,20 +261,14 @@ def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
 
     A three-point midpoint probe on CONCAVITY_SAMPLES points runs first;
     concavity failures raise rather than return a point the search cannot
-    certify.  The bracket is kept in exact rationals when the curve accepts
-    them, so value comparisons near the flat top never fall into float
-    rounding noise; curves that insist on floats still work, at float
-    precision.  The search stops once the bracket is narrower than
-    MAX_POINT_TOL.
+    certify.  The bracket is kept in exact rationals, so value comparisons
+    near the flat top never fall into float rounding noise.  The search
+    stops once the bracket is narrower than MAX_POINT_TOL.  It is the
+    generic cross-check for curve_peak's exact peak of gamma.
     """
     a, b = Fraction(0), Fraction(1)
-    try:
-        curve(a)
-        probe = curve
-    except (TypeError, ValueError):
-        probe = lambda p: curve(float(p))
     step = (b - a) / (CONCAVITY_SAMPLES - 1)
-    values = [probe(a + i * step) for i in range(CONCAVITY_SAMPLES)]
+    values = [curve(a + i * step) for i in range(CONCAVITY_SAMPLES)]
     for i in range(CONCAVITY_SAMPLES - 2):
         if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
             raise NonConcavityError(
@@ -287,7 +277,7 @@ def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
     while b - a > MAX_POINT_TOL:
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
-        left, right = probe(m1), probe(m2)
+        left, right = curve(m1), curve(m2)
         if left < right:
             a = m1
         elif left > right:
@@ -295,36 +285,37 @@ def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
         else:
             a, b = m1, m2
     p_star = (a + b) / 2
-    return MaxPoint(float(p_star), float(probe(p_star)), "ternary-search")
+    return MaxPoint(float(p_star), float(curve(p_star)), "ternary-search")
 
 
-def cycle_peak_density(h: int) -> tuple[float, float]:
-    """The two closed-form candidates for the peak density of a cycle curve.
+def _vertex_below(a: int, c: int, q: Fraction) -> bool:
+    """Is sqrt(a)/(sqrt(a)+sqrt(c)) < q?  Squared into an integer test."""
+    m, n = q.numerator, q.denominator
+    return (n - m) ** 2 * a < m * m * c
 
-    Returns (rational-form candidate, square-root-form candidate); which one
-    is correct depends on h, and cycle_max_point picks by consistency with
-    the ternary search.
+
+def curve_peak(params: PowerCycleParams) -> MaxPoint:
+    """Exact peak of the closed-form curve gamma.
+
+    Every branch has the form 1/(a/p + c/(1-p)): (a, ell(a)-1) for branch
+    "a=...", and (t+1, 0) for the chromatic one.  Each is concave with its
+    vertex at sqrt(a)/(sqrt(a)+sqrt(c)).  Between consecutive branch
+    crossings one branch is the minimum, so gamma peaks at the vertex of the
+    branch active on the interval holding that vertex, or else at the
+    crossing with the largest value.
     """
-    if h < 4:
-        raise ParameterDomainError("cycle curve needs h >= 4")
-    rational_form = 1.0 / (ceil(h / 2) - ceil(h / 3) + 1)
-    root_form = 1.0 / (1.0 + sqrt(ceil(h / 3) - 1))
-    return rational_form, root_form
-
-
-def cycle_max_point(h: int) -> MaxPoint:
-    """Peak of the closed-form curve for an ordinary cycle.
-
-    Runs the ternary search, then returns whichever closed-form candidate
-    agrees with it; the raw search result is returned when neither does.
-    """
-    params = PowerCycleParams(h, 1)
-    curve = lambda p: gamma_closed(params, p)
-    found = max_point(curve)
-    for candidate in sorted(cycle_peak_density(h), key=lambda c: abs(c - found.p_star)):
-        if abs(candidate - found.p_star) <= 1e-6:
-            return MaxPoint(candidate, curve(candidate), "closed-form")
-    return found
+    params.require_gamma_range("closed-form gamma")
+    shapes = {f"a={a}": (a, params.ell(a) - 1) for a in range(params.t + 1)}
+    shapes["chromatic"] = (params.t + 1, 0)
+    points = [Fraction(0), *branch_crossings(params), Fraction(1)]
+    for lo, hi in zip(points, points[1:]):
+        a, c = shapes[gamma_closed_with_branch(params, (lo + hi) / 2)[1]]
+        if not _vertex_below(a, c, lo) and _vertex_below(a, c, hi):
+            p_star = sqrt(a) / (sqrt(a) + sqrt(c))
+            break
+    else:
+        p_star = float(max(points, key=lambda q: gamma_closed(params, q)))
+    return MaxPoint(p_star, float(gamma_closed(params, p_star)), "closed-form")
 
 
 @dataclass

@@ -71,38 +71,28 @@ def _feasibility_masks(K: Crg) -> tuple[list[int], list[int]]:
 
 
 def _interchangeable_classes(K: Crg) -> list[list[int]]:
-    """Partition V(K) into classes closed under arbitrary permutation.
+    """Partition V(K) into twin classes, each in vertex order.
 
-    A class collects vertices of one color whose edges agree: one shared
-    color inside the class and, member by member, identical colors toward
-    every outside vertex.  Any permutation of such a class is a CRG
-    automorphism, so the search may insist that class members enter the
-    image in class order.  All-gray CRGs collapse to at most two classes.
+    Twins share a vertex color and the edge color toward every third vertex.
+    Twinship is an equivalence relation and forces one edge color inside a
+    class, so any permutation of a class is a CRG automorphism, and the
+    search may insist that class members enter the image in class order.
+    All-gray CRGs collapse to at most two classes.
     """
-    classes: list[dict] = []
+
+    def twins(u: int, v: int) -> bool:
+        return K.vertex_colors[u] == K.vertex_colors[v] and all(
+            K.edge_color(u, w) == K.edge_color(v, w) for w in range(K.n) if w not in (u, v)
+        )
+
+    classes: list[list[int]] = []
     for v in range(K.n):
-        placed = False
-        for cls in classes:
-            members = cls["members"]
-            rep = members[0]
-            if K.vertex_colors[v] != K.vertex_colors[rep]:
-                continue
-            internal = cls["internal"]
-            colors_to_members = {K.edge_color(v, m) for m in members}
-            if len(colors_to_members) != 1:
-                continue
-            candidate_internal = colors_to_members.pop()
-            if internal is not None and candidate_internal != internal:
-                continue
-            outside = [w for w in range(K.n) if w != v and w not in members]
-            if all(K.edge_color(v, w) == K.edge_color(rep, w) for w in outside):
-                members.append(v)
-                cls["internal"] = candidate_internal
-                placed = True
-                break
-        if not placed:
-            classes.append({"members": [v], "internal": None})
-    return [cls["members"] for cls in classes]
+        home = next((members for members in classes if twins(members[0], v)), None)
+        if home is None:
+            classes.append([v])
+        else:
+            home.append(v)
+    return classes
 
 
 def _search_order(H: Graph) -> list[int]:

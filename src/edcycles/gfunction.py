@@ -35,7 +35,7 @@ from .errors import (
     ParameterDomainError,
     SizeExceededError,
 )
-from .rationals import Number, number_str, to_fraction
+from .rationals import Number, number_str, one_like, to_fraction
 
 EXACT_QP_BOUND = 12
 P_CORE_BOUND = 14
@@ -278,7 +278,7 @@ def g_krs(r: int, s: int, p: Number) -> Number:
     """
     if r < 0 or s < 0 or r + s == 0:
         raise ParameterDomainError("need r, s >= 0 with r + s >= 1")
-    one = Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
+    one = one_like(p)
     if p == 0:
         return one * 0 if r else one / s
     if p == 1:
@@ -342,27 +342,6 @@ def degree_report(K: Crg, g: GValue) -> DegreeReport:
     )
 
 
-def _min_over_subsets(K: Crg, p: Fraction) -> list:
-    """For every nonempty vertex subset S (as a bitmask), the exact g of the
-    induced sub-CRG, via one sweep of stationary points plus a subset DP."""
-    n = K.n
-    size = 1 << n
-    g_min = [None] * size
-    for bits, value, _ in _stationary_points(rate_matrix(K, p).entries, range(n)):
-        g_min[bits] = value
-    for bits in range(1, size):
-        value = g_min[bits]
-        v = bits
-        while v:
-            low = v & -v
-            prev = g_min[bits ^ low]
-            if prev is not None and (value is None or prev < value):
-                value = prev
-            v ^= low
-        g_min[bits] = value
-    return g_min
-
-
 def is_p_core(K: Crg, p: Number) -> bool:
     """Does K strictly beat every proper nonempty induced sub-CRG at this p?
 
@@ -381,13 +360,19 @@ def is_p_core(K: Crg, p: Number) -> bool:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
     if K.n == 1:
         return True
-    g_min = _min_over_subsets(K, p)
-    full = (1 << K.n) - 1
-    g_full = g_min[full]
     # Subset minima only shrink as the subset grows, so the proper sub-CRGs
-    # are dominated by the one-vertex-deleted ones.
+    # are dominated by the one-vertex-deleted ones: g_without[v] is the best
+    # value over supports that miss v.
+    g_full = None
+    g_without = [None] * K.n
+    for bits, value, _ in _stationary_points(rate_matrix(K, p).entries, range(K.n)):
+        if g_full is None or value < g_full:
+            g_full = value
+        for v in range(K.n):
+            if not bits >> v & 1 and (g_without[v] is None or value < g_without[v]):
+                g_without[v] = value
     for v in range(K.n):
-        if not g_min[full ^ (1 << v)] - g_full > margin:
+        if not g_without[v] - g_full > margin:
             return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching

@@ -14,6 +14,11 @@ from fractions import Fraction
 Number = Fraction | int | float
 
 
+def one_like(p: Number) -> Number:
+    """The number 1 in the kind of p: an exact Fraction for rationals, else a float."""
+    return Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
+
+
 def to_fraction(value: Number | str, *, max_denominator: int | None = None) -> Fraction:
     """Convert ints, floats, strings, and Fractions to an exact Fraction.
 

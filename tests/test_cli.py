@@ -69,6 +69,16 @@ def test_curve_zero_samples_exits_2(capsys):
     assert json.loads(err)["error"] == "ParameterDomainError"
 
 
+def test_curve_empty_p_range_exits_2(capsys):
+    code, out, err = run(
+        capsys, "curve", "--h", "8", "--t", "1", "--samples", "1",
+        "--p-min", "3/5", "--no-search",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_curve_byte_stable(capsys):
     _, first, _ = run(capsys, "curve", "--h", "9", "--t", "1", "--samples", "31")
     _, second, _ = run(capsys, "curve", "--h", "9", "--t", "1", "--samples", "31")

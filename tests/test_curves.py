@@ -9,9 +9,8 @@ from edcycles.curves import (
     black_part_g_bound,
     branch_crossings,
     curve_csv,
+    curve_peak,
     curve_samples,
-    cycle_max_point,
-    cycle_peak_density,
     default_p_grid,
     ed_closed,
     ed_covered,
@@ -133,24 +132,42 @@ def test_max_point_rejects_convex():
 
 
 def test_cycle_peak_h7_is_irrational_point():
-    point = cycle_max_point(7)
+    point = curve_peak(PowerCycleParams(7, 1))
     assert point.method == "closed-form"
     assert point.p_star == pytest.approx(math.sqrt(2) - 1, abs=1e-9)
     assert point.d_star == pytest.approx(3 - 2 * math.sqrt(2), abs=1e-9)
 
 
 def test_cycle_peak_h9_is_rational_point():
-    point = cycle_max_point(9)
+    point = curve_peak(PowerCycleParams(9, 1))
     assert point.p_star == pytest.approx(1 / 3, abs=1e-9)
 
 
 @pytest.mark.parametrize("h", range(5, 20))
 def test_cycle_peak_matches_candidate_family(h):
     # the square-root form applies exactly for h in {4, 7, 8, 10, 16}
-    point = cycle_max_point(h)
-    rational_form, root_form = cycle_peak_density(h)
+    point = curve_peak(PowerCycleParams(h, 1))
+    rational_form = 1.0 / (math.ceil(h / 2) - math.ceil(h / 3) + 1)
+    root_form = 1.0 / (1.0 + math.sqrt(math.ceil(h / 3) - 1))
     expected = root_form if h in (4, 7, 8, 10, 16) else rational_form
     assert point.p_star == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("h", range(12, 52))
+def test_curve_peak_matches_ternary_search(h, t):
+    params = PowerCycleParams(h, t)
+    point = curve_peak(params)
+    reference = max_point(lambda p: gamma_closed(params, p))
+    assert point.method == "closed-form"
+    assert point.p_star == pytest.approx(reference.p_star, abs=1e-9)
+    assert point.d_star == pytest.approx(reference.d_star, abs=1e-9)
+
+
+def test_curve_peak_h25_t3_is_exactly_half():
+    point = curve_peak(PowerCycleParams(25, 3))
+    assert point.p_star == 0.5
+    assert point.method == "closed-form"
 
 
 def test_max_point_probe_validates_result():
