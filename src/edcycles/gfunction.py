@@ -6,14 +6,22 @@ For a CRG K with rate matrix M(p), the g-function is
 
 Exact mode enumerates supports.  A minimizer restricted to the face of its
 support T satisfies M_T x_T = c * 1 with c equal to the optimal value, so
-solving M_T y = 1 over the rationals and scaling y to the simplex yields a
-candidate value 1 / sum(y) whenever the system is invertible and y is
-nonnegative.  A support whose system is singular can be skipped: any optimum
-living on that face also appears on a sub-face with an invertible system (in
-the worst case a single vertex, whose diagonal entry is positive for
-p in (0,1)).  Because gray edges contribute zero entries, the matrix is block
-diagonal over the components of the non-gray edge graph, and reciprocals of
-component optima add up:  1/g_K = sum_i 1/g_{K_i}.
+solving M_T y = 1 and scaling y to the simplex yields a candidate value
+1 / sum(y) whenever the system is invertible and y is nonnegative.  A support
+whose system is singular can be skipped: any optimum living on that face also
+appears on a sub-face with an invertible system (in the worst case a single
+vertex, whose diagonal entry is positive for p in (0,1)).  Because gray edges
+contribute zero entries, the matrix is block diagonal over the components of
+the non-gray edge graph, and reciprocals of component optima add up:
+1/g_K = sum_i 1/g_{K_i}.
+
+The sweep runs over the integers.  For p = a/b the matrix A = b * M(p) has
+entries a (white), b - a (black) and 0 (gray); a float p is first converted
+to its exact rational value.  Each face is solved by Bareiss fraction-free
+elimination (Bareiss 1968, Math. Comp. 22), which yields d = |det A_T| and
+the integer vector u = d * A_T^-1 1 with every division exact.  The face is
+feasible when no u_i is negative, its value is g = d / (b * sum(u)) and its
+weights are u / sum(u); Fractions are built only for the winning support.
 
 Numeric mode runs projected gradient descent from each simplex vertex and
 from the uniform point, with step halving; the rate form need not be convex,
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
@@ -62,59 +70,85 @@ class GValue:
         }
 
 
-def _solve_stationary(entries, support: Sequence[int]):
-    """Solve M_T y = 1 exactly; return y or None when singular.
+def _integer_rates(K: Crg, p: Fraction):
+    """rate_matrix(K, p) scaled by the denominator b of p = a/b, so that every
+    entry is an integer: a on white, b - a on black, 0 on gray.  Returns
+    (rows, b)."""
+    b = p.denominator
+    return [[int(v * b) for v in row] for row in rate_matrix(K, p).entries], b
 
-    Gaussian elimination with exact rational pivoting on the principal
-    submatrix indexed by the support.
+
+def _solve_face(rates, support: Sequence[int]):
+    """Solve A_T u = d * 1 over the integers; return (d, u) or None when singular.
+
+    Bareiss fraction-free elimination of [A_T | 1] on the principal submatrix
+    indexed by the support: every division is exact, the last pivot is
+    +-det(A_T), and fraction-free back substitution gives u = d * A_T^-1 1,
+    which is +-adj(A_T) 1.  Signs are normalised so that d > 0.
     """
-    m = len(support)
-    aug = [[entries[i][j] for j in support] + [Fraction(1)] for i in support]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
+    rows = [[rates[i][j] for j in support] + [1] for i in support]
+    upper = []
+    prev = 1
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[m] for row in aug]
+        pivot = rows.pop(k)
+        head, tail = pivot[0], pivot[1:]
+        eliminated = []
+        for row in rows:
+            lead = row[0]
+            if lead:
+                eliminated.append([(x * head - lead * y) // prev for x, y in zip(row[1:], tail)])
+            else:  # the same update with lead = 0, without the zero products
+                eliminated.append([x * head // prev for x in row[1:]])
+        rows = eliminated
+        upper.append(pivot)
+        prev = head
+    d = prev
+    u = []
+    for row in reversed(upper):
+        u.insert(0, (d * row[-1] - sum(map(mul, row[1:-1], u))) // row[0])
+    if d < 0:
+        return -d, [-x for x in u]
+    return d, u
 
 
-def _stationary_points(entries, vertices: Sequence[int]):
-    """Yield (bits, value, weights) for every support, in bitmask order over
-    the given vertices, whose face has a nonnegative stationary point.
+def _stationary_points(rates, scale: int, vertices: Sequence[int]):
+    """Yield (bits, value, u) for every support, in bitmask order over the
+    given vertices, whose face has a nonnegative stationary point.
 
-    bits selects the support from vertices, value is 1 / sum(y) for the
-    solution y of M_T y = 1, and weights is y scaled onto the simplex.
+    rates is the rate matrix scaled by `scale`, bits selects the support from
+    vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
+    value is d / (scale * sum(u)); the weights on the support are u / sum(u).
     """
     m = len(vertices)
     for bits in range(1, 1 << m):
-        y = _solve_stationary(entries, [vertices[i] for i in range(m) if bits >> i & 1])
-        if y is None or any(v < 0 for v in y):
+        face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
+        if face is None:
             continue
-        total = sum(y)
-        if total <= 0:
+        d, u = face
+        if min(u) < 0:
             continue
-        yield bits, Fraction(1) / total, [v / total for v in y]
+        # u is nonzero (A_T is invertible), so its sum is positive here
+        yield bits, Fraction(d, scale * sum(u)), u
 
 
-def _exact_min(entries, vertices: Sequence[int]):
+def _exact_min(rates, scale: int, vertices: Sequence[int]):
     """Exact minimum of the rate form over the simplex on the given vertices.
 
     Ties go to the lowest bitmask, so weights and supports are reproducible.
     """
-    best = min(_stationary_points(entries, vertices), key=itemgetter(1), default=None)
+    best = min(_stationary_points(rates, scale, vertices), key=itemgetter(1), default=None)
     if best is None:
         raise RuntimeError("no stationary candidate found; zero diagonal entry?")
-    bits, value, weights = best
+    bits, value, u = best
+    total = sum(u)
+    weights = [Fraction(x, total) for x in u]
     return value, weights, [v for i, v in enumerate(vertices) if bits >> i & 1]
 
 
-def _recombined_min(entries, blocks, bound: int, caller: str):
+def _recombined_min(rates, scale: int, blocks, bound: int, caller: str):
     """Exact minimum over independently solved blocks, recombined by the
     reciprocal-sum identity 1/g = sum(1/g_i); also the per-block optima."""
     for block in blocks:
@@ -122,7 +156,7 @@ def _recombined_min(entries, blocks, bound: int, caller: str):
             raise SizeExceededError(
                 f"{caller}: block of {len(block)} vertices exceeds exact bound {bound}"
             )
-    pieces = [_exact_min(entries, block) for block in blocks]
+    pieces = [_exact_min(rates, scale, block) for block in blocks]
     return Fraction(1) / sum(Fraction(1) / value for value, _, _ in pieces), pieces
 
 
@@ -240,9 +274,9 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
         raise ParameterDomainError(
             "exact mode needs 0 < p < 1; use g_endpoint for p in {0, 1}"
         )
-    entries = rate_matrix(K, p).entries
+    rates, scale = _integer_rates(K, p)
     blocks = component_sets(K) if decompose else [tuple(range(K.n))]
-    g, pieces = _recombined_min(entries, blocks, EXACT_QP_BOUND, "g_value")
+    g, pieces = _recombined_min(rates, scale, blocks, EXACT_QP_BOUND, "g_value")
     weights = [Fraction(0)] * K.n
     support = []
     for value, block_weights, block_support in pieces:
@@ -266,8 +300,8 @@ def g_endpoint(K: Crg, p: int) -> Fraction:
     zero_color = WHITE if p == 0 else BLACK
     if any(c == zero_color for c in K.vertex_colors):
         return Fraction(0)
-    entries = rate_matrix(K, Fraction(p)).entries
-    return _recombined_min(entries, component_sets(K), P_CORE_BOUND, "g_endpoint")[0]
+    rates, scale = _integer_rates(K, Fraction(p))
+    return _recombined_min(rates, scale, component_sets(K), P_CORE_BOUND, "g_endpoint")[0]
 
 
 def g_krs(r: int, s: int, p: Number) -> Number:
@@ -365,7 +399,7 @@ def is_p_core(K: Crg, p: Number) -> bool:
     # value over supports that miss v.
     g_full = None
     g_without = [None] * K.n
-    for bits, value, _ in _stationary_points(rate_matrix(K, p).entries, range(K.n)):
+    for bits, value, _ in _stationary_points(*_integer_rates(K, p), range(K.n)):
         if g_full is None or value < g_full:
             g_full = value
         for v in range(K.n):

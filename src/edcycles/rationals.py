@@ -1,8 +1,11 @@
 """Rational-number helpers shared across the package.
 
-Exact mode works with ``fractions.Fraction`` end to end.  Floats are accepted
-at entry points and converted exactly (every float is a rational); CLI string
-inputs like ``"1/3"`` or ``"0.3"`` parse to the exact decimal/ratio value.
+Exact mode takes and returns ``fractions.Fraction`` values at its boundaries;
+inside, the support sweep of the g-function scales the rate matrix by the
+denominator of p and runs on integers, building Fractions only for its
+results.  Floats are accepted at entry points and converted exactly (every
+float is a rational); CLI string inputs like ``"1/3"`` or ``"0.3"`` parse to
+the exact decimal/ratio value.
 JSON interchange serializes rationals as ``"num/den"`` strings so nothing is
 lost in transit.
 """

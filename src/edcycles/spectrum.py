@@ -67,6 +67,9 @@ def clique_spectrum(
     closure on both axes, so the result is never truncated.  Explicit bounds
     are honored and the truncated flag reports whether anything was clipped.
     """
+    for name, bound in (("r_max", r_max), ("s_max", s_max)):
+        if bound is not None and bound < 0:
+            raise ParameterDomainError(f"{name}={bound} must be nonnegative")
     n = H.n
     boundaries: list[int] = []
     r = 0

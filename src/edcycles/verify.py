@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import curves
 from .crg import Crg, component_sets, standard_corpus, sub_crg, WHITE, BLACK
 from .embed import gray_cycle_embedding_report, k_rs_boundary_cases
+from .errors import ParameterDomainError
 from .gfunction import (
     degree_report,
     g_value,
@@ -287,7 +288,21 @@ def run_suites(
     timeout: float | None = 10.0,
     corpus_count: int = 200,
 ) -> dict:
-    """Run the named suites in SUITE_NAMES order; "ok" when every one passes."""
+    """Run the named suites in SUITE_NAMES order; "ok" when every one passes.
+
+    Every sweep size must be at least 1: an empty sweep checks nothing, and
+    a suite that checked nothing must not report a pass.
+    """
+    sizes = {
+        "h_max": h_max,
+        "t_max": t_max,
+        "xy_max": xy_max,
+        "p_denominator": p_denominator,
+        "corpus_count": corpus_count,
+    }
+    for name, size in sizes.items():
+        if size < 1:
+            raise ParameterDomainError(f"{name}={size}: every sweep size must be at least 1")
     runners = {
         "facts": lambda: facts_suite(h_max, t_max, xy_max, p_denominator),
         "gray_cycles": lambda: gray_cycle_suite(timeout=timeout),

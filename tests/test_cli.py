@@ -1,6 +1,10 @@
 """Command-line surface: output formats, determinism, error channeling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,14 @@ def test_g_endpoint(capsys):
     assert blob["mode"] == "endpoint"
 
 
+@pytest.mark.parametrize("flag", ["--r-max", "--s-max"])
+def test_spectrum_negative_bound_exits_2(capsys, flag):
+    code, out, err = run(capsys, "spectrum", "--h", "8", "--t", "1", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_embed_false_with_triangle(capsys, tmp_path):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(crg_to_json(gray_cycle_crg(0, 3))))
@@ -187,6 +199,25 @@ def test_verify_weights_small(capsys):
     assert blob["weights"]["asserted"] >= 10
 
 
+@pytest.mark.parametrize(
+    "suite,flag,value",
+    [
+        ("components", "--count", "0"),
+        ("components", "--count", "-1"),
+        ("weights", "--count", "0"),
+        ("facts", "--h-max", "0"),
+        ("facts", "--t-max", "0"),
+        ("facts", "--xy-max", "0"),
+        ("facts", "--p-denominator", "0"),
+    ],
+)
+def test_verify_empty_sweep_exits_2(capsys, suite, flag, value):
+    code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
         "edcycles.cli.verify.facts_suite", lambda *a, **k: {"ok": False}
@@ -205,3 +236,14 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("p,gamma_closed")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edcycles", "maxpoint", "--h", "7", "--t", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["p_star"] == pytest.approx(0.41421356, abs=1e-6)

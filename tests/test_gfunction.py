@@ -1,15 +1,24 @@
 """Simplex optimization of the rate form: exact and numeric paths."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edcycles.crg import (
     BLACK,
+    EDGE_COLORS,
+    VERTEX_COLORS,
     WHITE,
+    Crg,
     component_sets,
+    crg_from_json,
     crg_from_pairs,
+    crg_to_json,
     k_rs,
     random_crg,
     standard_corpus,
@@ -17,6 +26,8 @@ from edcycles.crg import (
 )
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import (
+    _integer_rates,
+    _solve_face,
     degree_report,
     g_endpoint,
     g_krs,
@@ -258,3 +269,114 @@ def test_degree_report_codegree():
     assert report.gray_codegree[(0, 1)] == gv.weights[2]
     assert report.gray_codegree[(0, 2)] == gv.weights[1]
     assert report.gray_codegree[(1, 2)] == gv.weights[0]
+
+
+def gauss_jordan_reference(M, support):
+    """Reference face solver: Gauss-Jordan over Fractions on M_T y = 1.
+
+    Returns (det M_T, y), or None when M_T is singular."""
+    m = len(support)
+    aug = [[Fraction(M[i][j]) for j in support] + [Fraction(1)] for i in support]
+    det = Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return det, [row[m] for row in aug]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(37, 101), 0.3])
+def test_integer_face_solver_matches_fraction_reference(p):
+    rng = random.Random(97)
+    exact_p = Fraction(p)
+    seen = {"singular": 0, "negative": 0, "feasible": 0}
+    cases = [
+        # two white vertices joined by a white edge: identical rows
+        crg_from_pairs((WHITE, WHITE), [(0, 1, WHITE)]),
+        # white pair joined by a black edge: indefinite, negative solution
+        crg_from_pairs((WHITE, WHITE), [(0, 1, BLACK)]),
+    ]
+    cases += [random_crg(rng, rng.randint(1, 7)) for _ in range(40)]
+    for K in cases:
+        M = rate_matrix(K, exact_p).entries
+        rates, scale = _integer_rates(K, exact_p)
+        assert scale == exact_p.denominator
+        assert rates == [[v * scale for v in row] for row in M]
+        for size in range(1, K.n + 1):
+            for support in itertools.combinations(range(K.n), size):
+                if size > 3 and rng.random() < 0.7:
+                    continue
+                reference = gauss_jordan_reference(M, support)
+                face = _solve_face(rates, support)
+                if reference is None:
+                    assert face is None, (K, support)
+                    seen["singular"] += 1
+                    continue
+                det, y = reference
+                d, u = face
+                # d = |det A_T| for A = scale * M, and u = d * A_T^-1 1
+                assert d == abs(det) * scale**size
+                assert [Fraction(x, d) for x in u] == [v / scale for v in y]
+                feasible = min(u) >= 0
+                assert feasible == all(v >= 0 for v in y)
+                if not feasible:
+                    seen["negative"] += 1
+                    continue
+                seen["feasible"] += 1
+                assert Fraction(d, scale * sum(u)) == 1 / sum(y)
+                assert [Fraction(x, sum(u)) for x in u] == [v / sum(y) for v in y]
+    assert min(seen.values()) > 0, seen
+
+
+@st.composite
+def crgs(draw, max_vertices):
+    n = draw(st.integers(1, max_vertices))
+    vertex_colors = draw(st.lists(st.sampled_from(VERTEX_COLORS), min_size=n, max_size=n))
+    m = n * (n - 1) // 2
+    edge_colors = draw(st.lists(st.sampled_from(EDGE_COLORS), min_size=m, max_size=m))
+    return Crg(n, tuple(vertex_colors), tuple(edge_colors))
+
+
+exact_ps = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50), max_denominator=60)
+few_examples = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@few_examples
+@given(data=st.data(), K=crgs(6), p=exact_ps)
+def test_exact_g_invariant_under_relabelling(data, K, p):
+    # K' puts vertex perm[i] of K at position i.  Ties between optimal
+    # points go to the lowest bitmask, which depends on the labels, so the
+    # weights of K' are checked to be an optimum of K rather than equal.
+    perm = data.draw(st.permutations(range(K.n)))
+    pairs = [(i, j, K.edge_color(perm[i], perm[j])) for i in range(K.n) for j in range(i + 1, K.n)]
+    relabelled = crg_from_pairs([K.vertex_colors[v] for v in perm], pairs)
+    gv, gr = g_value(K, p), g_value(relabelled, p)
+    assert gr.value == gv.value
+    x = [Fraction(0)] * K.n
+    for i, v in enumerate(perm):
+        x[v] = gr.weights[i]
+    M = rate_matrix(K, p).entries
+    assert sum(x) == 1 and min(x) >= 0
+    assert sum(M[i][j] * x[i] * x[j] for i in range(K.n) for j in range(K.n)) == gv.value
+
+
+@few_examples
+@given(K=crgs(7), p=exact_ps)
+def test_joint_and_decomposed_g_agree(K, p):
+    assert g_value(K, p, decompose=False).value == g_value(K, p).value
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(K=crgs(9))
+def test_crg_json_roundtrip_property(K):
+    assert crg_from_json(crg_to_json(K)) == K
+    assert crg_from_json(json.dumps(crg_to_json(K))) == K

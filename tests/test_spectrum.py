@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from edcycles.errors import TruncatedSpectrumError
+from edcycles.errors import ParameterDomainError, TruncatedSpectrumError
 from edcycles.gfunction import g_krs
 from edcycles.graphs import Graph, PowerCycleParams, power_cycle
 from edcycles.spectrum import (
@@ -133,6 +133,12 @@ def test_explicit_bounds_not_truncated_when_wide():
     spec = clique_spectrum(power_cycle(5, 1), r_max=4, s_max=4)
     assert not spec.truncated
     assert spec.extreme_points == ((0, 2), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize("bounds", [{"r_max": -1}, {"s_max": -1}, {"r_max": 2, "s_max": -3}])
+def test_negative_bounds_rejected(bounds):
+    with pytest.raises(ParameterDomainError):
+        clique_spectrum(power_cycle(8, 1), **bounds)
 
 
 def test_single_point_grid():
