@@ -12,7 +12,6 @@ from .crg import (
     GRAY,
     WHITE,
     Crg,
-    components,
     component_sets,
     crg_from_json,
     crg_from_pairs,
@@ -81,7 +80,6 @@ from .spectrum import (
     CliqueSpectrum,
     clique_spectrum,
     gamma,
-    gamma_curve,
     gamma_with_branch,
     power_cycle_spectrum,
 )

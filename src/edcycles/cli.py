@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: curve, spectrum, g, embed, maxpoint, verify.  Output is CSV or
-JSON (rationals serialized as "num/den" strings); errors leave as machine-
-readable JSON on stderr with exit code 2, and verify exits 1 when any suite
-fails.
+Subcommands: curve, spectrum, g, embed, maxpoint, verify.  curve writes CSV,
+or JSON with --format json; the others write JSON (rationals serialized as
+"num/den" strings).  Errors leave as machine-readable JSON on stderr with
+exit code 2, and verify exits 1 when any suite fails.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 from .gfunction import g_endpoint, g_value
 from .graphs import EXACT_SEARCH_BOUND, PowerCycleParams, graph_from_json, power_cycle
 from .rationals import number_str
-from .spectrum import gamma_with_branch, power_cycle_spectrum, clique_spectrum
+from .spectrum import clique_spectrum, gamma, power_cycle_spectrum
 
 _ERRORS = (
     ParameterDomainError,
@@ -63,17 +63,16 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _graph_from_args(args) -> tuple:
+def _graph_from_args(args):
     if args.graph is not None:
-        return graph_from_json(_load_json(args.graph)), None
+        return graph_from_json(_load_json(args.graph))
     if args.h is None or args.t is None:
         raise ParameterDomainError("give either --graph FILE or both --h and --t")
-    return power_cycle(args.h, args.t), PowerCycleParams(args.h, args.t)
+    return power_cycle(args.h, args.t)
 
 
 def _add_common(sub, graph_input=False):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
     if graph_input:
         sub.add_argument("--h", type=int, default=None, help="cycle length")
         sub.add_argument("--t", type=int, default=None, help="cycle power")
@@ -102,8 +101,8 @@ def cmd_curve(args) -> int:
         want_search = args.h <= EXACT_SEARCH_BOUND
     if want_search:
         spec = power_cycle_spectrum(params)
-        search = [gamma_with_branch(spec, p).value for p in grid]
-    if (args.format or "csv") == "csv":
+        search = [gamma(spec, p) for p in grid]
+    if args.format == "csv":
         _write_output(curves.curve_csv(samples, search), args.out)
     else:
         rows = [s.to_json() for s in samples]
@@ -115,12 +114,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    graph, params = _graph_from_args(args)
-    r_max, s_max = args.r_max, args.s_max
-    if params is not None and r_max is None and s_max is None:
-        spec = power_cycle_spectrum(params)
-    else:
-        spec = clique_spectrum(graph, r_max=r_max, s_max=s_max)
+    spec = clique_spectrum(_graph_from_args(args), r_max=args.r_max, s_max=args.s_max)
     _emit_json(spec.to_json(), args.out)
     return 0
 
@@ -143,7 +137,7 @@ def cmd_g(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    graph, _ = _graph_from_args(args)
+    graph = _graph_from_args(args)
     K = crg_from_json(_load_json(args.crg))
     phi = find_embedding(graph, K, timeout=args.timeout)
     result = {"embeds": phi is not None}
@@ -193,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--search", dest="search", action="store_true", default=None,
                          help="force the search-based gamma column (default: auto)")
     p_curve.add_argument("--no-search", dest="search", action="store_false")
+    p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p_curve)
     p_curve.set_defaults(func=cmd_curve)
 

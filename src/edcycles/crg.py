@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
-from .rationals import Number, one_like
+from .rationals import Number, json_int, json_list, one_like
 
 WHITE = "white"
 GRAY = "gray"
@@ -141,11 +140,6 @@ def component_sets(K: Crg) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def components(K: Crg) -> list[Crg]:
-    """Induced sub-CRGs on the components of the non-gray edge graph."""
-    return [sub_crg(K, vs) for vs in component_sets(K)]
-
-
 def sub_crg(K: Crg, vertices: Iterable[int]) -> Crg:
     """Induced sub-CRG on the given vertex subset (kept in sorted order)."""
     vs = sorted(set(vertices))
@@ -179,12 +173,14 @@ def crg_to_json(K: Crg) -> dict:
 
 
 def crg_from_json(obj) -> Crg:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
-        vertex_colors = tuple(obj["vertices"])
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        vertex_colors = tuple(json_list(obj["vertices"]))
         edges = obj.get("edges", {})
-        overrides = [(index(i), index(j), c) for i, j, c in edges.get("overrides", [])]
+        overrides = [
+            (json_int(i), json_int(j), c) for i, j, c in json_list(edges.get("overrides", []))
+        ]
         default = edges.get("default", GRAY)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed CRG JSON: {exc}") from exc

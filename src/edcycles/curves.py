@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import sqrt
 from typing import Callable, Sequence
 
@@ -28,31 +29,43 @@ from .rationals import Number, one_like
 MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
 CONCAVITY_SAMPLES = 101
+THREE_TERM_T = (2, 3)  # powers t whose three-term reduction the facts sweep checks
 
 
 def ed_range_ok(params: PowerCycleParams) -> bool:
     return params.h >= 2 * params.t * (params.t + 1) + 1
 
 
-def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number]]:
-    """Every branch of the closed-form curve at p, in tie-breaking order.
+@cache
+def branches(params: PowerCycleParams) -> tuple[tuple[str, int, int], ...]:
+    """Every branch of the closed-form curve as (label, a, c), in tie-breaking order.
 
-    Branch "a=..." is the curve through the spectrum pair (a, ell(a)-1); the
-    "chromatic" branch through (t+1, 0) exists only when t+1 does not
-    divide h.  The order matches the lexicographic order of those pairs.
+    Each branch has the form 1/(a/p + c/(1-p)).  Branch "a=..." is the curve
+    through the spectrum pair (a, ell(a)-1); the "chromatic" branch through
+    (t+1, 0) exists only when t+1 does not divide h.  The order matches the
+    lexicographic order of those pairs.  Cached, since every evaluation of
+    the curve reads the table.
     """
+    params.require_gamma_range("closed-form gamma")
+    table = tuple((f"a={a}", a, params.ell(a) - 1) for a in range(params.t + 1))
+    return table if params.divisible else (*table, ("chromatic", params.t + 1, 0))
+
+
+def _branch_value(a: int, c: int, p: Number) -> Number:
+    """1/(a/p + c/(1-p)), written so that it is defined at p = 0 and p = 1."""
+    one = one_like(p)
+    if a == 0:
+        return (one - p) / c
+    if c == 0:
+        return (one * p) / a
+    return (one * p) * (one - p) / (a * (one - p) + c * p)
+
+
+def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number]]:
+    """Every branch of the closed-form curve at p, in tie-breaking order."""
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
-    params.require_gamma_range("closed-form gamma")
-    one = one_like(p)
-    t = params.t
-    out = [("a=0", (one - p) / (params.ell(0) - 1))]
-    for a in range(1, t + 1):
-        la = params.ell(a)
-        out.append((f"a={a}", (one * p) * (one - p) / (a * (one - p) + (la - 1) * p)))
-    if not params.divisible:
-        out.append(("chromatic", (one * p) / (t + 1)))
-    return out
+    return [(label, _branch_value(a, c, p)) for label, a, c in branches(params)]
 
 
 def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Number, str]:
@@ -125,15 +138,7 @@ def gamma_three_term(params: PowerCycleParams, p: Number) -> Number:
         )
     if not 0 <= p <= 1:
         raise ParameterDomainError(f"p={p} outside [0, 1]")
-    one = one_like(p)
-    lt = params.ell(t)
-    values = [
-        (one - p) / (params.ell(0) - 1),
-        (one * p) * (one - p) / (t * (one - p) + (lt - 1) * p),
-    ]
-    if not params.divisible:
-        values.append((one * p) / (t + 1))
-    return min(values)
+    return min(_branch_value(a, c, p) for _, a, c in branches(params) if a in (0, t, t + 1))
 
 
 def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) -> Number:
@@ -158,20 +163,15 @@ def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) ->
 
 def branch_crossings(params: PowerCycleParams) -> list[Fraction]:
     """Exact p values in (0, 1) where two branches of the curve meet."""
-    params.require_gamma_range("closed-form gamma")
-    t = params.t
-    pairs = [(a, params.ell(a)) for a in range(t + 1)]
-    crossings = set()
-    for i, (a, la) in enumerate(pairs):
-        for b, lb in pairs[i + 1 :]:
-            rise, drop = b - a, la - lb
-            if drop > 0:
-                crossings.add(Fraction(rise, rise + drop))
-        if not params.divisible:
-            rise, drop = (t + 1) - a, la - 1
-            if drop > 0 and rise > 0:
-                crossings.add(Fraction(rise, rise + drop))
-    return sorted(c for c in crossings if 0 < c < 1)
+    table = branches(params)
+    return sorted(
+        {
+            Fraction(a2 - a1, (a2 - a1) + (c1 - c2))
+            for i, (_, a1, c1) in enumerate(table)
+            for _, a2, c2 in table[i + 1 :]
+            if c1 > c2
+        }
+    )
 
 
 def uniform_p_grid(samples: int) -> list[Fraction]:
@@ -304,9 +304,7 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
     branch active on the interval holding that vertex, or else at the
     crossing with the largest value.
     """
-    params.require_gamma_range("closed-form gamma")
-    shapes = {f"a={a}": (a, params.ell(a) - 1) for a in range(params.t + 1)}
-    shapes["chromatic"] = (params.t + 1, 0)
+    shapes = {label: (a, c) for label, a, c in branches(params)}
     points = [Fraction(0), *branch_crossings(params), Fraction(1)]
     for lo, hi in zip(points, points[1:]):
         a, c = shapes[gamma_closed_with_branch(params, (lo + hi) / 2)[1]]
@@ -329,7 +327,8 @@ class FactCheck:
 
     @property
     def passed(self) -> bool:
-        return self.failure_count == 0
+        """A fact passes when it was checked at least once and never failed."""
+        return self.checked > 0 and self.failure_count == 0
 
     def record(self, count: int = 1) -> None:
         self.checked += count
@@ -479,7 +478,6 @@ def verify_facts(
     t_max: int = 8,
     xy_max: int = 60,
     p_denominator: int = 1000,
-    three_term_t: Sequence[int] = (2, 3),
 ) -> FactsReport:
     """Sweep every supporting integer fact and report violations with witnesses."""
     facts = {
@@ -498,7 +496,5 @@ def verify_facts(
     _check_size_t_partition(facts["size_t_partition"], h_max, t_max)
     _check_late_linearity(facts["late_linearity"], h_max, t_max, p_denominator)
     _check_early_linearity(facts["early_linearity"], h_max, t_max, p_denominator)
-    _check_three_term_reduction(
-        facts["three_term_reduction"], h_max, [t for t in three_term_t if t >= 2]
-    )
+    _check_three_term_reduction(facts["three_term_reduction"], h_max, THREE_TERM_T)
     return FactsReport(facts)

@@ -313,11 +313,13 @@ def g_krs(r: int, s: int, p: Number) -> Number:
     if r < 0 or s < 0 or r + s == 0:
         raise ParameterDomainError("need r, s >= 0 with r + s >= 1")
     one = one_like(p)
+    if 0 < p < 1:
+        return one / (r / (one * p) + s / (one - p))
     if p == 0:
         return one * 0 if r else one / s
     if p == 1:
         return one * 0 if s else one / r
-    return one / (r / (one * p) + s / (one - p))
+    raise ParameterDomainError(f"p={p} outside [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import ParameterDomainError, SizeExceededError
+from .rationals import json_int, json_list
 
 EXACT_SEARCH_BOUND = 24
 
@@ -76,11 +76,11 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj) -> Graph:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
-        n = index(obj["n"])
-        edges = [(index(i), index(j)) for i, j in obj["edges"]]
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        n = json_int(obj["n"])
+        edges = [(json_int(i), json_int(j)) for i, j in json_list(obj["edges"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterDomainError(f"malformed graph JSON: {exc}") from exc
     return Graph.from_edges(n, edges)

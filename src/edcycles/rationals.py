@@ -7,12 +7,14 @@ results.  Floats are accepted at entry points and converted exactly (every
 float is a rational); CLI string inputs like ``"1/3"`` or ``"0.3"`` parse to
 the exact decimal/ratio value.
 JSON interchange serializes rationals as ``"num/den"`` strings so nothing is
-lost in transit.
+lost in transit, and reads counts and indices only from JSON integers and
+sequences only from JSON arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 Number = Fraction | int | float
 
@@ -22,26 +24,14 @@ def one_like(p: Number) -> Number:
     return Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
 
 
-def to_fraction(value: Number | str, *, max_denominator: int | None = None) -> Fraction:
-    """Convert ints, floats, strings, and Fractions to an exact Fraction.
-
-    Floats convert to their exact binary value unless ``max_denominator`` is
-    given, in which case the closest rational with a denominator at most that
-    bound is used.
-    """
+def to_fraction(value: Number | str) -> Fraction:
+    """Convert ints, floats (to their exact binary value), strings, and
+    Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, float):
-        frac = Fraction(value)
-        if max_denominator is not None:
-            frac = frac.limit_denominator(max_denominator)
-    elif isinstance(value, str):
-        frac = Fraction(value)
-    else:
-        raise TypeError(f"cannot interpret {value!r} as a rational number")
-    return frac
+        return value
+    if isinstance(value, (int, float, str)):
+        return Fraction(value)
+    raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
 def number_str(value: Number) -> str | float | int:
@@ -53,10 +43,17 @@ def number_str(value: Number) -> str | float | int:
     return value
 
 
-def parse_number(value) -> Number:
-    """Inverse of number_str for values read back from JSON."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (int, float)):
-        return value
-    raise TypeError(f"cannot parse {value!r} as a number")
+def json_int(value) -> int:
+    """An integer count or index read from JSON.  true and false are refused,
+    although Python treats them as the ints 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return index(value)
+
+
+def json_list(value) -> list | tuple:
+    """A sequence read from JSON.  Strings and objects are refused, although
+    Python would iterate over their characters or keys."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{value!r} is not an array")
+    return value

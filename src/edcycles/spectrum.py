@@ -14,7 +14,7 @@ cross-validation against derived formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ParameterDomainError, TruncatedSpectrumError
 from .gfunction import g_krs
@@ -32,8 +32,6 @@ class CliqueSpectrum:
 
     pairs: frozenset[tuple[int, int]]
     extreme_points: tuple[tuple[int, int], ...]
-    r_max: int
-    s_max: int
     truncated: bool
 
     def to_json(self) -> dict:
@@ -70,33 +68,15 @@ def clique_spectrum(
     for name, bound in (("r_max", r_max), ("s_max", s_max)):
         if bound is not None and bound < 0:
             raise ParameterDomainError(f"{name}={bound} must be nonnegative")
-    n = H.n
-    boundaries: list[int] = []
-    r = 0
-    while True:
-        hi = boundaries[-1] if boundaries else n
-        boundary = _row_boundary(H, r, hi)
-        boundaries.append(boundary)
-        if boundary == 0:
-            break  # row boundaries only shrink, so closure is certified
-        if r_max is not None and r >= r_max:
-            break
-        r += 1
-
-    true_s_max = boundaries[0] - 1 if boundaries[0] else -1
-    eff_r_max = len(boundaries) - 1 if r_max is None else r_max
-    eff_s_max = true_s_max if s_max is None else s_max
-
-    truncated = False
-    if boundaries[-1] > 0:
-        truncated = True  # never reached an empty row: more rows may exist
-    if any(b - 1 > eff_s_max for b in boundaries):
-        truncated = True  # clipped in the s direction
-
+    boundaries = [_row_boundary(H, 0, H.n)]
+    # row boundaries only shrink, so an empty row certifies closure
+    while boundaries[-1] > 0 and (r_max is None or len(boundaries) <= r_max):
+        boundaries.append(_row_boundary(H, len(boundaries), boundaries[-1]))
+    s_cap = boundaries[0] if s_max is None else min(boundaries[0], s_max + 1)
+    # truncated: no empty row reached (more rows may exist), or clipped in s
+    truncated = boundaries[-1] > 0 or s_cap < boundaries[0]
     pairs = frozenset(
-        (r, s)
-        for r, boundary in enumerate(boundaries[: eff_r_max + 1])
-        for s in range(min(boundary, eff_s_max + 1))
+        (r, s) for r, boundary in enumerate(boundaries) for s in range(min(boundary, s_cap))
     )
     extreme = tuple(
         sorted(
@@ -105,16 +85,15 @@ def clique_spectrum(
             if (r + 1, s) not in pairs and (r, s + 1) not in pairs
         )
     )
-    return CliqueSpectrum(pairs, extreme, eff_r_max, eff_s_max, truncated)
+    return CliqueSpectrum(pairs, extreme, truncated)
 
 
 def power_cycle_spectrum(params: PowerCycleParams) -> CliqueSpectrum:
-    """Spectrum of a cycle power with bounds that provably cover all extreme points."""
-    return clique_spectrum(params.graph(), r_max=params.chi, s_max=params.ell(0) + 1)
+    """Complete spectrum of a cycle power, closed by its first empty row."""
+    return clique_spectrum(params.graph())
 
 
 class GammaPoint(NamedTuple):
-    p: Number
     value: Number
     branch: tuple[int, int]
 
@@ -134,22 +113,9 @@ def gamma_with_branch(spec: CliqueSpectrum, p: Number) -> GammaPoint:
     for r, s in spec.extreme_points:  # already sorted lexicographically
         value = g_krs(r, s, p)
         if best is None or value < best.value:
-            best = GammaPoint(p, value, (r, s))
+            best = GammaPoint(value, (r, s))
     return best
 
 
 def gamma(spec: CliqueSpectrum, p: Number) -> Number:
     return gamma_with_branch(spec, p).value
-
-
-def gamma_curve(spec: CliqueSpectrum, p_grid: Sequence[Number]) -> list[GammaPoint]:
-    return [gamma_with_branch(spec, p) for p in p_grid]
-
-
-def gamma_curve_csv(points: Sequence[GammaPoint]) -> str:
-    lines = ["p,gamma,branch_r,branch_s"]
-    for point in points:
-        lines.append(
-            f"{point.p},{point.value},{point.branch[0]},{point.branch[1]}"
-        )
-    return "\n".join(lines) + "\n"

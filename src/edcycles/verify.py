@@ -35,6 +35,10 @@ GRAY_CYCLE_CASES = (
 )
 
 CROSS_VALIDATION_PAIRS = tuple((1, h) for h in range(5, 13)) + tuple((2, h) for h in range(13, 19))
+GAMMA_GRID_DENOMINATOR = 100
+WEIGHT_PS = (Fraction(1, 4), Fraction(3, 4))
+MIN_ASSERTED = 10  # fewer certified p-cores than this fails the weights suite
+COMPONENT_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
@@ -48,26 +52,13 @@ def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
     )
 
 
-def facts_suite(
-    h_max: int = 400, t_max: int = 8, xy_max: int = 60, p_denominator: int = 1000
-) -> dict:
-    started = time.perf_counter()
-    report = curves.verify_facts(
-        h_max=h_max, t_max=t_max, xy_max=xy_max, p_denominator=p_denominator
-    )
-    out = report.to_json()
-    out["elapsed_s"] = round(time.perf_counter() - started, 3)
-    return out
-
-
-def gray_cycle_suite(cases=GRAY_CYCLE_CASES, timeout: float | None = 10.0) -> dict:
+def gray_cycle_suite(timeout: float | None = 10.0) -> dict:
     """Embedding sweeps over the forbidden gray-cycle window plus the
     all-gray boundary: K(t, ell(t)) must admit the cycle power and
     K(t, ell(t)-1) must not."""
-    started = time.perf_counter()
     sweeps = []
     ok = True
-    for t, h, white_counts in cases:
+    for t, h, white_counts in GRAY_CYCLE_CASES:
         params = PowerCycleParams(h, t)
         for a in white_counts:
             report = gray_cycle_embedding_report(params, a, timeout=timeout)
@@ -83,27 +74,22 @@ def gray_cycle_suite(cases=GRAY_CYCLE_CASES, timeout: float | None = 10.0) -> di
             }
         )
         ok = ok and inside and not outside
-    return {
-        "ok": ok,
-        "sweeps": sweeps,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
+    return {"ok": ok, "sweeps": sweeps}
 
 
-def gamma_cross_suite(pairs=CROSS_VALIDATION_PAIRS, denominator: int = 100) -> dict:
+def gamma_cross_suite() -> dict:
     """Search-based spectra against predictions, and search-based gamma
     against the closed form, exactly, on a rational grid."""
-    started = time.perf_counter()
     results = []
     ok = True
-    for t, h in pairs:
+    for t, h in CROSS_VALIDATION_PAIRS:
         params = PowerCycleParams(h, t)
         spec = power_cycle_spectrum(params)
         predicted = predicted_extreme_points(params)
         extreme_match = list(spec.extreme_points) == predicted
         mismatches = []
-        for k in range(denominator + 1):
-            p = Fraction(k, denominator)
+        for k in range(GAMMA_GRID_DENOMINATOR + 1):
+            p = Fraction(k, GAMMA_GRID_DENOMINATOR)
             via_search = gamma(spec, p)
             via_formula = curves.gamma_closed(params, p)
             if via_search != via_formula:
@@ -117,15 +103,11 @@ def gamma_cross_suite(pairs=CROSS_VALIDATION_PAIRS, denominator: int = 100) -> d
             "predicted": [list(e) for e in predicted],
             "extreme_match": extreme_match,
             "gamma_mismatches": mismatches[:10],
-            "gamma_points": denominator + 1,
+            "gamma_points": GAMMA_GRID_DENOMINATOR + 1,
         }
         results.append(entry)
         ok = ok and extreme_match and not mismatches
-    return {
-        "ok": ok,
-        "pairs": results,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
+    return {"ok": ok, "pairs": results}
 
 
 def check_weight_identities(K: Crg, p: Fraction) -> list[str]:
@@ -168,7 +150,7 @@ def check_weight_identities(K: Crg, p: Fraction) -> list[str]:
     return problems
 
 
-def gray_degree_bound_tally(K: Crg, p: Fraction, pairs=CROSS_VALIDATION_PAIRS) -> tuple[int, list]:
+def gray_degree_bound_tally(K: Crg, p: Fraction) -> tuple[int, list]:
     """Opportunistic check of the gray-degree lower bound.
 
     An all-black p-core CRG (p < 1/2) whose g value undercuts the black-part
@@ -182,7 +164,7 @@ def gray_degree_bound_tally(K: Crg, p: Fraction, pairs=CROSS_VALIDATION_PAIRS) -
     counts = degree_report(K, gv).gray_neighbor_count
     instances = 0
     violations = []
-    for t, h in pairs:
+    for t, h in CROSS_VALIDATION_PAIRS:
         params = PowerCycleParams(h, t)
         for a in range(t):
             if gv.value < curves.black_part_g_bound(a, params, p):
@@ -193,19 +175,13 @@ def gray_degree_bound_tally(K: Crg, p: Fraction, pairs=CROSS_VALIDATION_PAIRS) -
     return instances, violations
 
 
-def weight_suite(
-    seed: int = DEFAULT_SEED,
-    count: int = 200,
-    ps=(Fraction(1, 4), Fraction(3, 4)),
-    min_asserted: int = 10,
-) -> dict:
+def weight_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
     """p-core certification plus weight identities over the random corpus.
 
     Instances that fail certification are vacuous for the identities and are
     tallied separately; too few asserted instances fails the suite, so the
     corpus must keep producing gray-dominated CRGs.
     """
-    started = time.perf_counter()
     corpus = standard_corpus(seed, count=count)
     asserted = 0
     vacuous = 0
@@ -214,7 +190,7 @@ def weight_suite(
     identity_failures = []
     degree_failures = []
     for index, K in enumerate(corpus):
-        for p in ps:
+        for p in WEIGHT_PS:
             if not is_p_core(K, p):
                 vacuous += 1
                 continue
@@ -233,45 +209,36 @@ def weight_suite(
         not structure_failures
         and not identity_failures
         and not degree_failures
-        and asserted >= min_asserted
+        and asserted >= MIN_ASSERTED
     )
     return {
         "ok": ok,
         "corpus_size": len(corpus),
         "asserted": asserted,
         "vacuous": vacuous,
-        "min_asserted": min_asserted,
+        "min_asserted": MIN_ASSERTED,
         "structure_failures": structure_failures,
         "identity_failures": identity_failures,
         "degree_bound_instances": degree_instances,
         "degree_bound_failures": degree_failures,
-        "elapsed_s": round(time.perf_counter() - started, 3),
     }
 
 
-def component_suite(seed: int = DEFAULT_SEED, count: int = 200, ps=None) -> dict:
+def component_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
     """Reciprocal-sum identity: the jointly solved optimum of a CRG must equal
     the recombination of its independently solved components."""
-    started = time.perf_counter()
-    if ps is None:
-        ps = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     corpus = standard_corpus(seed, count=count)
     failures = []
     for index, K in enumerate(corpus):
         parts = component_sets(K)
-        for p in ps:
+        for p in COMPONENT_PS:
             joint = g_value(K, p, decompose=False).value
             recombined = 1 / sum(
                 1 / g_value(sub_crg(K, vs), p).value for vs in parts
             )
             if joint != recombined:
                 failures.append({"index": index, "p": str(p)})
-    return {
-        "ok": not failures,
-        "corpus_size": len(corpus),
-        "failures": failures,
-        "elapsed_s": round(time.perf_counter() - started, 3),
-    }
+    return {"ok": not failures, "corpus_size": len(corpus), "failures": failures}
 
 
 SUITE_NAMES = ("facts", "gray_cycles", "gamma_cross", "weights", "components")
@@ -288,7 +255,8 @@ def run_suites(
     timeout: float | None = 10.0,
     corpus_count: int = 200,
 ) -> dict:
-    """Run the named suites in SUITE_NAMES order; "ok" when every one passes.
+    """Run the named suites in SUITE_NAMES order, each section ending with
+    its elapsed_s; "ok" when every one passes.
 
     Every sweep size must be at least 1: an empty sweep checks nothing, and
     a suite that checked nothing must not report a pass.
@@ -304,12 +272,19 @@ def run_suites(
         if size < 1:
             raise ParameterDomainError(f"{name}={size}: every sweep size must be at least 1")
     runners = {
-        "facts": lambda: facts_suite(h_max, t_max, xy_max, p_denominator),
+        "facts": lambda: curves.verify_facts(
+            h_max=h_max, t_max=t_max, xy_max=xy_max, p_denominator=p_denominator
+        ).to_json(),
         "gray_cycles": lambda: gray_cycle_suite(timeout=timeout),
         "gamma_cross": gamma_cross_suite,
         "weights": lambda: weight_suite(seed=seed, count=corpus_count),
         "components": lambda: component_suite(seed=seed, count=corpus_count),
     }
-    report = {name: runners[name]() for name in SUITE_NAMES if name in names}
+    report = {}
+    for name in SUITE_NAMES:
+        if name in names:
+            started = time.perf_counter()
+            report[name] = runners[name]()
+            report[name]["elapsed_s"] = round(time.perf_counter() - started, 3)
     report["ok"] = all(section["ok"] for section in report.values())
     return report

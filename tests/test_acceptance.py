@@ -163,9 +163,7 @@ def test_criterion_7_irrational_maximum():
 
 def test_criterion_8_facts_sweep():
     with Timer() as timer:
-        facts = verify_facts(
-            h_max=400, t_max=8, xy_max=60, p_denominator=1000, three_term_t=(2, 3)
-        )
+        facts = verify_facts(h_max=400, t_max=8, xy_max=60, p_denominator=1000)
     passed = facts.ok and timer.elapsed < 120.0
     report(8, "facts sweep", passed, timer.elapsed)
     for name, fact in facts.facts.items():
@@ -175,12 +173,7 @@ def test_criterion_8_facts_sweep():
 
 def test_criterion_9_weight_propositions():
     with Timer() as timer:
-        suite = verify.weight_suite(
-            seed=verify.DEFAULT_SEED,
-            count=200,
-            ps=(Fraction(1, 4), Fraction(3, 4)),
-            min_asserted=10,
-        )
+        suite = verify.weight_suite(seed=verify.DEFAULT_SEED, count=200)
     report(9, "weight propositions", suite["ok"], timer.elapsed)
     print(
         f"              asserted={suite['asserted']} vacuous={suite['vacuous']}"

@@ -220,11 +220,33 @@ def test_verify_empty_sweep_exits_2(capsys, suite, flag, value):
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
-        "edcycles.cli.verify.facts_suite", lambda *a, **k: {"ok": False}
+        "edcycles.cli.verify.gamma_cross_suite", lambda *a, **k: {"ok": False}
     )
-    code, out, _ = run(capsys, "verify", "--suite", "facts")
+    code, out, _ = run(capsys, "verify", "--suite", "gamma-cross")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_facts_unreached_by_sweep_fail(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "facts", "--h-max", "1")
+    assert code == 1
+    facts = json.loads(out)["facts"]["facts"]
+    unreached = {name for name, fact in facts.items() if fact["checked"] == 0}
+    assert unreached == {
+        "ceiling_floor_bound", "late_linearity", "early_linearity", "three_term_reduction"
+    }
+    assert all(facts[name]["passed"] is False for name in unreached)
+
+
+@pytest.mark.parametrize("command", [
+    ["maxpoint", "--h", "7", "--t", "1"],
+    ["spectrum", "--h", "5", "--t", "1"],
+    ["verify", "--suite", "facts"],
+])
+def test_format_flag_only_on_curve(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_output_file(capsys, tmp_path):

@@ -1,17 +1,19 @@
 """CRG structure, rate matrices, components, and p-core certification."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edcycles.crg import (
     BLACK,
     GRAY,
     WHITE,
     component_sets,
-    components,
     crg_from_json,
     crg_from_pairs,
     crg_to_json,
@@ -23,6 +25,7 @@ from edcycles.crg import (
 )
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import g_value, is_p_core, p_core_structure_ok
+from edcycles.graphs import graph_from_json
 
 
 def test_k_rs_shape():
@@ -112,8 +115,8 @@ def test_components_partition_property():
         sets = component_sets(K)
         flat = sorted(v for s in sets for v in s)
         assert flat == list(range(K.n))
-        for piece, vs in zip(components(K), sets):
-            assert piece.n == len(vs)
+        for vs in sets:
+            assert sub_crg(K, vs).n == len(vs)
 
 
 def test_sub_crg_identity_and_singleton():
@@ -153,6 +156,63 @@ def test_crg_from_pairs_rejects_out_of_range_index():
 def test_crg_from_json_rejects_missing_vertices():
     with pytest.raises(ParameterDomainError):
         crg_from_json({"edges": {"default": GRAY, "overrides": []}})
+
+
+def test_crg_from_json_rejects_malformed_shapes():
+    with pytest.raises(ParameterDomainError):
+        crg_from_json("white")
+    with pytest.raises(ParameterDomainError):
+        crg_from_json({"vertices": [WHITE, WHITE], "edges": {"overrides": [[False, True, WHITE]]}})
+    for bad in (
+        {"vertices": {WHITE: 0, BLACK: 1}},  # never read as its keys
+        {"vertices": ""},  # never read as no vertices
+        {"vertices": [WHITE], "edges": {"overrides": ""}},
+    ):
+        with pytest.raises(ParameterDomainError):
+            crg_from_json(bad)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.sampled_from([WHITE, GRAY, BLACK, "x", ""])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "vertices", "default", "overrides"]), inner),
+    max_leaves=12,
+)
+crg_like = st.fixed_dictionaries(
+    {"vertices": st.lists(json_scalars, max_size=5) | json_values},
+    optional={
+        "edges": st.fixed_dictionaries(
+            {},
+            optional={
+                "default": json_scalars,
+                "overrides": st.lists(st.lists(json_scalars, max_size=4), max_size=4) | json_values,
+            },
+        )
+    },
+)
+graph_like = st.fixed_dictionaries(
+    {"n": json_scalars, "edges": st.lists(st.lists(json_scalars, max_size=3), max_size=4) | json_values}
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    document=json_values | crg_like | graph_like | st.text(max_size=8),
+    as_text=st.booleans(),
+    parse=st.sampled_from([crg_from_json, graph_from_json]),
+)
+def test_any_json_shape_parses_or_raises_domain_error(document, as_text, parse):
+    try:
+        parse(json.dumps(document) if as_text else document)
+    except ParameterDomainError:
+        pass
 
 
 def test_crg_json_default_compresses():

@@ -251,3 +251,12 @@ def test_graph_from_json_rejects_malformed_shapes():
         graph_from_json({"n": 3, "edges": [[0, 1, 2]]})
     with pytest.raises(ParameterDomainError):
         graph_from_json({"n": 3.7, "edges": []})  # never truncated to 3
+    with pytest.raises(ParameterDomainError):
+        graph_from_json("x")  # not JSON text
+    with pytest.raises(ParameterDomainError):
+        graph_from_json({"n": True, "edges": []})  # a bool is not a count
+    with pytest.raises(ParameterDomainError):
+        graph_from_json({"n": 3, "edges": [[False, True]]})
+    for edges in ("", {}):  # never read as an empty edge list
+        with pytest.raises(ParameterDomainError):
+            graph_from_json({"n": 3, "edges": edges})

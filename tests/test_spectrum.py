@@ -11,8 +11,6 @@ from edcycles.graphs import Graph, PowerCycleParams, power_cycle
 from edcycles.spectrum import (
     clique_spectrum,
     gamma,
-    gamma_curve,
-    gamma_curve_csv,
     gamma_with_branch,
     power_cycle_spectrum,
 )
@@ -108,18 +106,20 @@ def test_gamma_endpoints():
     assert gamma(spec, Fraction(1)) == 0
 
 
-def test_gamma_curve_and_csv():
+@pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(-1, 4), 1.5])
+def test_gamma_rejects_p_outside_unit_interval(p):
     spec = power_cycle_spectrum(PowerCycleParams(8, 1))
-    grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    points = gamma_curve(spec, grid)
-    assert [pt.p for pt in points] == grid
+    with pytest.raises(ParameterDomainError):
+        gamma(spec, p)
+    with pytest.raises(ParameterDomainError):
+        g_krs(1, 1, p)
+
+
+def test_gamma_branch_switches():
+    spec = power_cycle_spectrum(PowerCycleParams(8, 1))
     # branch switches from the (1, ell(1)-1) pair to the (0, ell(0)-1) pair
-    assert points[0].branch == (1, 2)
-    assert points[-1].branch == (0, 3)
-    csv_text = gamma_curve_csv(points)
-    assert csv_text.splitlines()[0] == "p,gamma,branch_r,branch_s"
-    assert len(csv_text.splitlines()) == 4
-    assert gamma_curve(spec, []) == []
+    assert gamma_with_branch(spec, Fraction(1, 4)).branch == (1, 2)
+    assert gamma_with_branch(spec, Fraction(3, 4)).branch == (0, 3)
 
 
 def test_truncated_spectrum_refuses_gamma():
@@ -139,10 +139,3 @@ def test_explicit_bounds_not_truncated_when_wide():
 def test_negative_bounds_rejected(bounds):
     with pytest.raises(ParameterDomainError):
         clique_spectrum(power_cycle(8, 1), **bounds)
-
-
-def test_single_point_grid():
-    spec = power_cycle_spectrum(PowerCycleParams(6, 1))
-    points = gamma_curve(spec, [Fraction(1, 3)])
-    assert len(points) == 1
-    assert points[0].value == gamma(spec, Fraction(1, 3))
