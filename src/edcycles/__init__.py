@@ -48,6 +48,7 @@ from .embed import (
     verify_embedding,
 )
 from .errors import (
+    EdcyclesError,
     EmbedTimeoutError,
     NonConcavityError,
     NonConvergenceError,

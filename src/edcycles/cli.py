@@ -16,27 +16,11 @@ from fractions import Fraction
 from . import curves, verify
 from .crg import crg_from_json, k_rs
 from .embed import find_embedding
-from .errors import (
-    EmbedTimeoutError,
-    NonConcavityError,
-    NonConvergenceError,
-    ParameterDomainError,
-    SizeExceededError,
-    TruncatedSpectrumError,
-)
+from .errors import EdcyclesError, ParameterDomainError
 from .gfunction import g_endpoint, g_value
 from .graphs import EXACT_SEARCH_BOUND, PowerCycleParams, graph_from_json, power_cycle
 from .rationals import number_str
 from .spectrum import clique_spectrum, gamma, power_cycle_spectrum
-
-_ERRORS = (
-    ParameterDomainError,
-    SizeExceededError,
-    NonConvergenceError,
-    EmbedTimeoutError,
-    TruncatedSpectrumError,
-    NonConcavityError,
-)
 
 
 def _rational(text: str) -> Fraction:
@@ -161,7 +145,6 @@ def cmd_verify(args) -> int:
         t_max=args.t_max,
         xy_max=args.xy_max,
         p_denominator=args.p_denominator,
-        timeout=args.timeout,
         corpus_count=args.count,
     )
     _emit_json(report, args.out)
@@ -232,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p-denominator", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p_verify.add_argument("--count", type=int, default=200)
-    p_verify.add_argument("--timeout", type=float, default=10.0)
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -244,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (*_ERRORS, OSError, json.JSONDecodeError) as exc:
+    except (EdcyclesError, OSError, json.JSONDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 2

@@ -38,8 +38,8 @@ class Crg:
     edge_colors: tuple[str, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ParameterDomainError("vertex count must be nonnegative")
+        if self.n < 1:
+            raise ParameterDomainError("a CRG needs at least one vertex")
         if len(self.vertex_colors) != self.n:
             raise ParameterDomainError("vertex color list length mismatch")
         if len(self.edge_colors) != self.n * (self.n - 1) // 2:
@@ -87,8 +87,6 @@ def k_rs(r: int, s: int) -> Crg:
     """All-gray CRG with r white vertices followed by s black vertices."""
     if r < 0 or s < 0:
         raise ParameterDomainError("vertex counts must be nonnegative")
-    if r + s == 0:
-        raise ParameterDomainError("a CRG needs at least one vertex")
     return crg_from_pairs((WHITE,) * r + (BLACK,) * s)
 
 
@@ -143,8 +141,6 @@ def component_sets(K: Crg) -> list[tuple[int, ...]]:
 def sub_crg(K: Crg, vertices: Iterable[int]) -> Crg:
     """Induced sub-CRG on the given vertex subset (kept in sorted order)."""
     vs = sorted(set(vertices))
-    if not vs:
-        raise ParameterDomainError("sub-CRG needs a nonempty vertex set")
     for v in vs:
         if not 0 <= v < K.n:
             raise ParameterDomainError(f"vertex {v} out of range")

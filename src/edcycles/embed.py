@@ -131,8 +131,6 @@ def find_embedding(
         raise SizeExceededError(f"graph has {H.n} > {EMBED_GRAPH_BOUND} vertices")
     if K.n > EMBED_CRG_BOUND:
         raise SizeExceededError(f"CRG has {K.n} > {EMBED_CRG_BOUND} vertices")
-    if K.n == 0:
-        return None if H.n else ()
     if H.n == 0:
         return ()
 

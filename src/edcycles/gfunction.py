@@ -45,8 +45,7 @@ from .errors import (
 )
 from .rationals import Number, number_str, one_like, to_fraction
 
-EXACT_QP_BOUND = 12
-P_CORE_BOUND = 14
+EXACT_SWEEP_BOUND = 14
 NUMERIC_TOL = 1e-12
 NUMERIC_ITERATION_CAP = 10**6
 
@@ -121,8 +120,13 @@ def _stationary_points(rates, scale: int, vertices: Sequence[int]):
     rates is the rate matrix scaled by `scale`, bits selects the support from
     vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
     value is d / (scale * sum(u)); the weights on the support are u / sum(u).
+    Every exact route runs this sweep, so EXACT_SWEEP_BOUND is checked here.
     """
     m = len(vertices)
+    if m > EXACT_SWEEP_BOUND:
+        raise SizeExceededError(
+            f"support sweep over {m} vertices exceeds bound {EXACT_SWEEP_BOUND}"
+        )
     for bits in range(1, 1 << m):
         face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
         if face is None:
@@ -148,14 +152,9 @@ def _exact_min(rates, scale: int, vertices: Sequence[int]):
     return value, weights, [v for i, v in enumerate(vertices) if bits >> i & 1]
 
 
-def _recombined_min(rates, scale: int, blocks, bound: int, caller: str):
+def _recombined_min(rates, scale: int, blocks):
     """Exact minimum over independently solved blocks, recombined by the
     reciprocal-sum identity 1/g = sum(1/g_i); also the per-block optima."""
-    for block in blocks:
-        if len(block) > bound:
-            raise SizeExceededError(
-                f"{caller}: block of {len(block)} vertices exceeds exact bound {bound}"
-            )
     pieces = [_exact_min(rates, scale, block) for block in blocks]
     return Fraction(1) / sum(Fraction(1) / value for value, _, _ in pieces), pieces
 
@@ -250,7 +249,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     """Global minimum of the rate form over the standard simplex.
 
     Exact mode needs rational p strictly inside (0, 1) (floats are converted
-    to their exact rational value) and enforces EXACT_QP_BOUND per
+    to their exact rational value) and enforces EXACT_SWEEP_BOUND per
     independently-solved block: per component when decompose=True, on the
     whole CRG otherwise.  Setting decompose=False solves the joint program by
     brute support enumeration, which is what lets tests confirm the
@@ -276,7 +275,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
         )
     rates, scale = _integer_rates(K, p)
     blocks = component_sets(K) if decompose else [tuple(range(K.n))]
-    g, pieces = _recombined_min(rates, scale, blocks, EXACT_QP_BOUND, "g_value")
+    g, pieces = _recombined_min(rates, scale, blocks)
     weights = [Fraction(0)] * K.n
     support = []
     for value, block_weights, block_support in pieces:
@@ -293,7 +292,7 @@ def g_endpoint(K: Crg, p: int) -> Fraction:
 
     A white vertex absorbs all weight at p=0 (and a black one at p=1) for a
     value of zero; otherwise the 0/1-entry program is solved exactly, up to
-    P_CORE_BOUND vertices per component.
+    EXACT_SWEEP_BOUND vertices per component.
     """
     if p not in (0, 1):
         raise ParameterDomainError("g_endpoint is defined for p in {0, 1} only")
@@ -301,7 +300,7 @@ def g_endpoint(K: Crg, p: int) -> Fraction:
     if any(c == zero_color for c in K.vertex_colors):
         return Fraction(0)
     rates, scale = _integer_rates(K, Fraction(p))
-    return _recombined_min(rates, scale, component_sets(K), P_CORE_BOUND, "g_endpoint")[0]
+    return _recombined_min(rates, scale, component_sets(K))[0]
 
 
 def g_krs(r: int, s: int, p: Number) -> Number:
@@ -343,7 +342,7 @@ def degree_report(K: Crg, g: GValue) -> DegreeReport:
     x = g.weights
     if len(x) != K.n:
         raise ParameterDomainError("weight vector does not match the CRG")
-    zero = x[0] * 0 if K.n else 0
+    zero = x[0] * 0
     gray = [zero] * K.n
     white = [zero] * K.n
     black = [zero] * K.n
@@ -384,32 +383,24 @@ def is_p_core(K: Crg, p: Number) -> bool:
     Exact rational comparison when p is given as a rational; a float p is
     converted exactly but the strict gap must then exceed 1e-12, so that
     float callers cannot mistake roundoff for strictness.  K may have at most
-    P_CORE_BOUND vertices.
+    EXACT_SWEEP_BOUND vertices.
     """
-    if K.n > P_CORE_BOUND:
-        raise SizeExceededError(
-            f"is_p_core: {K.n} vertices exceeds bound {P_CORE_BOUND}"
-        )
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
     if not 0 < p < 1:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
-    if K.n == 1:
-        return True
-    # Subset minima only shrink as the subset grows, so the proper sub-CRGs
-    # are dominated by the one-vertex-deleted ones: g_without[v] is the best
-    # value over supports that miss v.
-    g_full = None
-    g_without = [None] * K.n
+    # Every proper induced sub-CRG is a face that misses some vertex, so K is
+    # a p-core exactly when its full face is feasible and beats the best
+    # non-full face by more than the margin.
+    full = (1 << K.n) - 1
+    g_full, g_rest = None, float("inf")
     for bits, value, _ in _stationary_points(*_integer_rates(K, p), range(K.n)):
-        if g_full is None or value < g_full:
+        if bits == full:
             g_full = value
-        for v in range(K.n):
-            if not bits >> v & 1 and (g_without[v] is None or value < g_without[v]):
-                g_without[v] = value
-    for v in range(K.n):
-        if not g_without[v] - g_full > margin:
-            return False
+        else:
+            g_rest = min(g_rest, value)
+    if g_full is None or not g_rest - g_full > margin:
+        return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching
         # here means the optimizer itself is wrong

@@ -88,16 +88,7 @@ def graph_from_json(obj) -> Graph:
 
 def power_cycle(h: int, t: int) -> Graph:
     """Graph on h cyclically arranged vertices, edges between cyclic distance <= t."""
-    if h < 3:
-        raise ParameterDomainError(f"cycle length {h} < 3")
-    if t < 1:
-        raise ParameterDomainError(f"power {t} < 1")
-    edges = set()
-    for i in range(h):
-        for j in range(i + 1, h):
-            if min(j - i, h - (j - i)) <= t:
-                edges.add((i, j))
-    return Graph(h, frozenset(edges))
+    return PowerCycleParams(h, t).graph()
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,14 @@ class PowerCycleParams:
         return self.h % (self.t + 1) == 0
 
     def graph(self) -> Graph:
-        return power_cycle(self.h, self.t)
+        """The cycle power itself: edges between cyclic distance <= t."""
+        h, t = self.h, self.t
+        edges = set()
+        for i in range(h):
+            for j in range(i + 1, h):
+                if min(j - i, h - (j - i)) <= t:
+                    edges.add((i, j))
+        return Graph(h, frozenset(edges))
 
     def require_gamma_range(self, what: str) -> None:
         """Refuse h < max(t(t+1), 4), below which the closed-form curve and

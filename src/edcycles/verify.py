@@ -17,6 +17,7 @@ from .crg import Crg, component_sets, standard_corpus, sub_crg, WHITE, BLACK
 from .embed import gray_cycle_embedding_report, k_rs_boundary_cases
 from .errors import ParameterDomainError
 from .gfunction import (
+    GValue,
     degree_report,
     g_value,
     is_p_core,
@@ -52,19 +53,19 @@ def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
     )
 
 
-def gray_cycle_suite(timeout: float | None = 10.0) -> dict:
+def gray_cycle_suite() -> dict:
     """Embedding sweeps over the forbidden gray-cycle window plus the
     all-gray boundary: K(t, ell(t)) must admit the cycle power and
-    K(t, ell(t)-1) must not."""
+    K(t, ell(t)-1) must not.  The fixed case table runs with no deadline."""
     sweeps = []
     ok = True
     for t, h, white_counts in GRAY_CYCLE_CASES:
         params = PowerCycleParams(h, t)
         for a in white_counts:
-            report = gray_cycle_embedding_report(params, a, timeout=timeout)
+            report = gray_cycle_embedding_report(params, a, timeout=None)
             sweeps.append(report.to_json())
             ok = ok and report.ok
-        inside, outside = k_rs_boundary_cases(params, timeout=timeout)
+        inside, outside = k_rs_boundary_cases(params, timeout=None)
         sweeps.append(
             {
                 "h": h,
@@ -110,7 +111,7 @@ def gamma_cross_suite() -> dict:
     return {"ok": ok, "pairs": results}
 
 
-def check_weight_identities(K: Crg, p: Fraction) -> list[str]:
+def check_weight_identities(K: Crg, p: Fraction, gv: GValue) -> list[str]:
     """Identities every p-core optimum must satisfy; returns violations.
 
     The optimum of a p-core CRG has full support, so (Mx)_v = g at every
@@ -120,7 +121,6 @@ def check_weight_identities(K: Crg, p: Fraction) -> list[str]:
     statements mirror with the colors and the roles of p and 1-p swapped.
     At p = 1/2 both halves apply and agree.
     """
-    gv = g_value(K, p)
     g = gv.value
     x = gv.weights
     report = degree_report(K, gv)
@@ -150,7 +150,7 @@ def check_weight_identities(K: Crg, p: Fraction) -> list[str]:
     return problems
 
 
-def gray_degree_bound_tally(K: Crg, p: Fraction) -> tuple[int, list]:
+def gray_degree_bound_tally(K: Crg, p: Fraction, gv: GValue) -> tuple[int, list]:
     """Opportunistic check of the gray-degree lower bound.
 
     An all-black p-core CRG (p < 1/2) whose g value undercuts the black-part
@@ -160,7 +160,6 @@ def gray_degree_bound_tally(K: Crg, p: Fraction) -> tuple[int, list]:
     """
     if p >= Fraction(1, 2) or any(c == WHITE for c in K.vertex_colors):
         return 0, []
-    gv = g_value(K, p)
     counts = degree_report(K, gv).gray_neighbor_count
     instances = 0
     violations = []
@@ -197,12 +196,13 @@ def weight_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
             asserted += 1
             if not p_core_structure_ok(K, p):
                 structure_failures.append({"index": index, "p": str(p)})
-            problems = check_weight_identities(K, p)
+            gv = g_value(K, p)
+            problems = check_weight_identities(K, p, gv)
             if problems:
                 identity_failures.append(
                     {"index": index, "p": str(p), "problems": problems}
                 )
-            hits, violations = gray_degree_bound_tally(K, p)
+            hits, violations = gray_degree_bound_tally(K, p, gv)
             degree_instances += hits
             degree_failures.extend(violations)
     ok = (
@@ -252,7 +252,6 @@ def run_suites(
     t_max: int = 8,
     xy_max: int = 60,
     p_denominator: int = 1000,
-    timeout: float | None = 10.0,
     corpus_count: int = 200,
 ) -> dict:
     """Run the named suites in SUITE_NAMES order, each section ending with
@@ -275,7 +274,7 @@ def run_suites(
         "facts": lambda: curves.verify_facts(
             h_max=h_max, t_max=t_max, xy_max=xy_max, p_denominator=p_denominator
         ).to_json(),
-        "gray_cycles": lambda: gray_cycle_suite(timeout=timeout),
+        "gray_cycles": gray_cycle_suite,
         "gamma_cross": gamma_cross_suite,
         "weights": lambda: weight_suite(seed=seed, count=corpus_count),
         "components": lambda: component_suite(seed=seed, count=corpus_count),

@@ -133,6 +133,18 @@ def test_g_crg_file_without_vertices_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "ParameterDomainError"
 
 
+@pytest.mark.parametrize("flags", [["--p", "1/2"], ["--p", "0"], ["--p", "1/2", "--numeric"]])
+def test_g_empty_crg_exits_2(capsys, tmp_path, flags):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": []}))
+    code, out, err = run(capsys, "g", "--crg", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ParameterDomainError", "message": "a CRG needs at least one vertex"
+    }
+
+
 def test_g_krs_shortcut_and_numeric(capsys):
     code, out, _ = run(capsys, "g", "--krs", "1", "1", "--p", "1/3", "--numeric")
     assert code == 0

@@ -231,16 +231,25 @@ def test_is_p_core_examples():
 
 def test_is_p_core_matches_direct_sub_crg_comparison():
     rng = random.Random(17)
-    p = Fraction(1, 4)
-    for _ in range(25):
-        K = random_crg(rng, rng.randint(2, 6), gray_weight=4.0)
-        g_full = g_value(K, p).value
-        direct = all(
-            g_value(sub_crg(K, S), p).value > g_full
-            for size in range(1, K.n)
-            for S in itertools.combinations(range(K.n), size)
-        )
-        assert is_p_core(K, p) == direct
+    verdicts = set()
+    for p in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101)):
+        for gray_weight in (1.0, 4.0, None):  # uniform, gray-heavy, all-gray
+            for _ in range(8):
+                n = rng.randint(1, 6)
+                if gray_weight is None:
+                    r = rng.randint(0, n)
+                    K = k_rs(r, n - r)
+                else:
+                    K = random_crg(rng, n, gray_weight=gray_weight)
+                g_full = g_value(K, p).value
+                direct = all(
+                    g_value(sub_crg(K, S), p).value > g_full
+                    for size in range(1, K.n)
+                    for S in itertools.combinations(range(K.n), size)
+                )
+                assert is_p_core(K, p) == direct, (K, p)
+                verdicts.add(direct)
+    assert verdicts == {True, False}
 
 
 def test_p_core_structure_on_certified_cores():

@@ -32,6 +32,7 @@ from edcycles.gfunction import (
     g_endpoint,
     g_krs,
     g_value,
+    is_p_core,
     rate_matrix,
 )
 
@@ -203,9 +204,18 @@ def test_exact_numeric_agreement_on_corpus():
 def test_exact_mode_rejects_endpoints_and_oversize():
     with pytest.raises(ParameterDomainError):
         g_value(k_rs(1, 1), Fraction(0))
-    with pytest.raises(SizeExceededError):
-        K = crg_from_pairs((BLACK,) * 13, [(i, i + 1, BLACK) for i in range(12)])
-        g_value(K, Fraction(1, 2))
+    # one sweep bound, 14 vertices, for every exact route
+    path13 = crg_from_pairs((BLACK,) * 13, [(i, i + 1, BLACK) for i in range(12)])
+    assert g_value(path13, Fraction(1, 2)).value == Fraction(1, 14)  # 1/(2 alpha(P_13))
+    path15 = crg_from_pairs((BLACK,) * 15, [(i, i + 1, BLACK) for i in range(14)])
+    message = "support sweep over 15 vertices exceeds bound 14"
+    for solve in (
+        lambda: g_value(path15, Fraction(1, 2)),
+        lambda: g_endpoint(path15, 0),
+        lambda: is_p_core(path15, Fraction(1, 2)),
+    ):
+        with pytest.raises(SizeExceededError, match=message):
+            solve()
 
 
 def test_g_endpoint_conventions():
