@@ -12,6 +12,7 @@ from .crg import (
     GRAY,
     WHITE,
     Crg,
+    color_swap,
     component_sets,
     crg_from_json,
     crg_from_pairs,

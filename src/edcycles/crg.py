@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
-from .rationals import Number, json_int, json_list, one_like
+from .rationals import Number, json_int, json_list, to_probability
 
 WHITE = "white"
 GRAY = "gray"
@@ -83,6 +84,20 @@ def crg_from_pairs(
     return Crg(n, tuple(vertex_colors), tuple(edge_colors))
 
 
+def color_swap(K: Crg) -> Crg:
+    """K with white and black exchanged on vertices and edges; gray stays.
+
+    Its rate matrix at 1 - p is the rate matrix of K at p, so every statement
+    about K at p > 1/2 is one about color_swap(K) at 1 - p < 1/2.
+    """
+    swap = {WHITE: BLACK, BLACK: WHITE, GRAY: GRAY}
+    return Crg(
+        K.n,
+        tuple(swap[c] for c in K.vertex_colors),
+        tuple(swap[c] for c in K.edge_colors),
+    )
+
+
 def k_rs(r: int, s: int) -> Crg:
     """All-gray CRG with r white vertices followed by s black vertices."""
     if r < 0 or s < 0:
@@ -95,22 +110,20 @@ class RateMatrix:
     """Symmetric matrix of edit rates: p for white, 1-p for black, 0 for gray.
 
     The diagonal entry of a vertex is p when white and 1-p when black.
-    Entries share the number kind of p (exact Fractions or floats).
+    Entries are exact Fractions; a float p is converted exactly first.
     """
 
-    p: Number
-    entries: tuple[tuple[Number, ...], ...]
+    p: Fraction
+    entries: tuple[tuple[Fraction, ...], ...]
 
-    def __getitem__(self, ij: tuple[int, int]) -> Number:
+    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
 
 def rate_matrix(K: Crg, p: Number) -> RateMatrix:
-    if not 0 <= p <= 1:
-        raise ParameterDomainError(f"p={p} outside [0, 1]")
-    one = one_like(p)
-    by_color = {WHITE: one * p, BLACK: one - p, GRAY: one * 0}
-    rows = [[one * 0] * K.n for _ in range(K.n)]
+    p = to_probability(p)
+    by_color = {WHITE: p, BLACK: 1 - p, GRAY: Fraction(0)}
+    rows = [[Fraction(0)] * K.n for _ in range(K.n)]
     for v in range(K.n):
         rows[v][v] = by_color[K.vertex_colors[v]]
     for i, j, color in K.pairs():

@@ -9,8 +9,10 @@ at p = 0.  The edit distance function itself equals gamma on the covered
 range: everywhere when t+1 does not divide h, and for p >= p0 otherwise;
 outside that range the value is reported as not covered, never guessed.
 
-Everything evaluates exactly over rationals when given rational p, and the
-fact sweeps below clear denominators so that every comparison is an integer
+Every branch value comes from gfunction.g_krs, the g-function of the
+all-gray CRG K(a, c), so every closed form is an exact Fraction for every p
+in [0, 1]; a float p is converted to its exact binary value first.  The fact
+sweeps below clear denominators so that every comparison is an integer
 comparison.
 """
 
@@ -23,8 +25,9 @@ from math import sqrt
 from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
+from .gfunction import g_krs
 from .graphs import PowerCycleParams
-from .rationals import Number, one_like
+from .rationals import Number, to_fraction, to_probability
 
 MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
@@ -40,35 +43,23 @@ def ed_range_ok(params: PowerCycleParams) -> bool:
 def branches(params: PowerCycleParams) -> tuple[tuple[str, int, int], ...]:
     """Every branch of the closed-form curve as (label, a, c), in tie-breaking order.
 
-    Each branch has the form 1/(a/p + c/(1-p)).  Branch "a=..." is the curve
-    through the spectrum pair (a, ell(a)-1); the "chromatic" branch through
-    (t+1, 0) exists only when t+1 does not divide h.  The order matches the
-    lexicographic order of those pairs.  Cached, since every evaluation of
-    the curve reads the table.
+    Each branch has the form 1/(a/p + c/(1-p)), which is g_krs(a, c, p).
+    Branch "a=..." is the curve through the spectrum pair (a, ell(a)-1); the
+    "chromatic" branch through (t+1, 0) exists only when t+1 does not divide
+    h.  The order matches the lexicographic order of those pairs.  Cached,
+    since every evaluation of the curve reads the table.
     """
     params.require_gamma_range("closed-form gamma")
     table = tuple((f"a={a}", a, params.ell(a) - 1) for a in range(params.t + 1))
     return table if params.divisible else (*table, ("chromatic", params.t + 1, 0))
 
 
-def _branch_value(a: int, c: int, p: Number) -> Number:
-    """1/(a/p + c/(1-p)), written so that it is defined at p = 0 and p = 1."""
-    one = one_like(p)
-    if a == 0:
-        return (one - p) / c
-    if c == 0:
-        return (one * p) / a
-    return (one * p) * (one - p) / (a * (one - p) + c * p)
-
-
-def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Number]]:
+def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Fraction]]:
     """Every branch of the closed-form curve at p, in tie-breaking order."""
-    if not 0 <= p <= 1:
-        raise ParameterDomainError(f"p={p} outside [0, 1]")
-    return [(label, _branch_value(a, c, p)) for label, a, c in branches(params)]
+    return [(label, g_krs(a, c, p)) for label, a, c in branches(params)]
 
 
-def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Number, str]:
+def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Fraction, str]:
     best_label, best = None, None
     for label, value in branch_values(params, p):
         if best is None or value < best:
@@ -76,11 +67,11 @@ def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Numbe
     return best, best_label
 
 
-def gamma_closed(params: PowerCycleParams, p: Number) -> Number:
+def gamma_closed(params: PowerCycleParams, p: Number) -> Fraction:
     return gamma_closed_with_branch(params, p)[0]
 
 
-def ed_closed(params: PowerCycleParams, p: Number) -> Number | None:
+def ed_closed(params: PowerCycleParams, p: Number) -> Fraction | None:
     """Closed-form edit distance value, or None where equality is not covered.
 
     Requires h >= 2t(t+1)+1.  When t+1 divides h the equality with gamma is
@@ -91,6 +82,7 @@ def ed_closed(params: PowerCycleParams, p: Number) -> Number | None:
             f"closed-form edit distance needs h >= 2t(t+1)+1 = "
             f"{2 * params.t * (params.t + 1) + 1}, got h={params.h}"
         )
+    p = to_probability(p)
     if not ed_covered(params, p):
         return None
     return gamma_closed(params, p)
@@ -100,7 +92,7 @@ def ed_covered(params: PowerCycleParams, p: Number) -> bool:
     return not params.divisible or p >= params.p0
 
 
-def ed_cycles_closed(h: int, p: Number) -> Number | None:
+def ed_cycles_closed(h: int, p: Number) -> Fraction | None:
     """Edit distance of a forbidden ordinary cycle (t = 1), or None off-range.
 
     Odd h: min of p/2 and the two rational branches, for all p.  Even h: the
@@ -108,21 +100,19 @@ def ed_cycles_closed(h: int, p: Number) -> Number | None:
     """
     if h < 5:
         raise ParameterDomainError(f"cycle closed form needs h >= 5, got {h}")
-    if not 0 <= p <= 1:
-        raise ParameterDomainError(f"p={p} outside [0, 1]")
+    p = to_probability(p)
     params = PowerCycleParams(h, 1)
-    one = one_like(p)
     l0, l1 = params.ell(0), params.ell(1)
-    middle = (one * p) * (one - p) / ((one - p) + (l1 - 1) * p)
-    last = (one - p) / (l0 - 1)
+    middle = p * (1 - p) / ((1 - p) + (l1 - 1) * p)
+    last = (1 - p) / (l0 - 1)
     if h % 2 == 0:
         if p < Fraction(1, l1):
             return None
         return min(middle, last)
-    return min((one * p) / 2, middle, last)
+    return min(p / 2, middle, last)
 
 
-def gamma_three_term(params: PowerCycleParams, p: Number) -> Number:
+def gamma_three_term(params: PowerCycleParams, p: Number) -> Fraction:
     """The curve reduced to the a=0 and a=t branches (plus the chromatic one).
 
     Valid once h >= 4t^2 + 10t + 24 (t >= 2): the middle branches are then
@@ -136,12 +126,10 @@ def gamma_three_term(params: PowerCycleParams, p: Number) -> Number:
             f"three-term reduction needs h >= 4t^2+10t+24 = "
             f"{4 * t * t + 10 * t + 24}, got h={params.h}"
         )
-    if not 0 <= p <= 1:
-        raise ParameterDomainError(f"p={p} outside [0, 1]")
-    return min(_branch_value(a, c, p) for _, a, c in branches(params) if a in (0, t, t + 1))
+    return min(g_krs(a, c, p) for _, a, c in branches(params) if a in (0, t, t + 1))
 
 
-def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) -> Number:
+def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) -> Fraction:
     """Largest g value the all-black part of a competitive CRG could have.
 
     A CRG with `white_count` white vertices beating every branch forces its
@@ -151,12 +139,11 @@ def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) ->
     t = params.t
     if not 0 <= white_count <= t:
         raise ParameterDomainError(f"white_count={white_count} outside 0..{t}")
+    p = to_fraction(p)
     if not 0 < p < 1:
         raise ParameterDomainError("bound needs 0 < p < 1")
-    one = one_like(p)
     best = max(
-        (a2 - white_count) / (one * p) + (params.ell(a2) - 1) / (one - p)
-        for a2 in range(t + 1)
+        (a2 - white_count) / p + (params.ell(a2) - 1) / (1 - p) for a2 in range(t + 1)
     )
     return 1 / best
 
@@ -302,7 +289,9 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
     vertex at sqrt(a)/(sqrt(a)+sqrt(c)).  Between consecutive branch
     crossings one branch is the minimum, so gamma peaks at the vertex of the
     branch active on the interval holding that vertex, or else at the
-    crossing with the largest value.
+    crossing with the largest value.  A crossing peak is a Fraction, so its
+    d_star is the correctly rounded exact value; a vertex peak is evaluated
+    exactly at the float p_star.
     """
     shapes = {label: (a, c) for label, a, c in branches(params)}
     points = [Fraction(0), *branch_crossings(params), Fraction(1)]
@@ -312,8 +301,8 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
             p_star = sqrt(a) / (sqrt(a) + sqrt(c))
             break
     else:
-        p_star = float(max(points, key=lambda q: gamma_closed(params, q)))
-    return MaxPoint(p_star, float(gamma_closed(params, p_star)), "closed-form")
+        p_star = max(points, key=lambda q: gamma_closed(params, q))
+    return MaxPoint(float(p_star), float(gamma_closed(params, p_star)), "closed-form")
 
 
 @dataclass

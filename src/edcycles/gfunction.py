@@ -37,13 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .crg import BLACK, GRAY, WHITE, Crg, component_sets, rate_matrix
+from .crg import BLACK, GRAY, WHITE, Crg, color_swap, component_sets, rate_matrix
 from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     SizeExceededError,
 )
-from .rationals import Number, number_str, one_like, to_fraction
+from .rationals import Number, number_str, to_fraction, to_probability
 
 EXACT_SWEEP_BOUND = 14
 NUMERIC_TOL = 1e-12
@@ -256,11 +256,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     reciprocal-sum component identity rather than assume it.
     """
     if mode == "numeric":
-        if not 0 <= p <= 1:
-            raise ParameterDomainError(f"p={p} outside [0, 1]")
-        M = np.array(
-            [[float(v) for v in row] for row in rate_matrix(K, float(p)).entries]
-        )
+        M = np.array(rate_matrix(K, float(p)).entries, dtype=float)
         value, x = _numeric_min(M)
         weights = tuple(float(w) for w in x)
         support = tuple(i for i, w in enumerate(weights) if w > NUMERIC_TOL)
@@ -303,22 +299,23 @@ def g_endpoint(K: Crg, p: int) -> Fraction:
     return _recombined_min(rates, scale, component_sets(K))[0]
 
 
-def g_krs(r: int, s: int, p: Number) -> Number:
-    """Closed-form g of the all-gray CRG: the harmonic rule (r/p + s/(1-p))^-1.
+def g_krs(r: int, s: int, p: Number) -> Fraction:
+    """Closed-form g of the all-gray CRG K(r, s): the harmonic rule
+    (r/p + s/(1-p))^-1, exact for every p in [0, 1].
 
-    Endpoint conventions match g_endpoint: any white vertex makes g vanish at
-    p=0, any black vertex at p=1.
+    For p = m/n it is m(n-m) / (n(r(n-m) + s m)); when that denominator
+    vanishes (p = 0 with r = 0, or p = 1 with s = 0) the value is 1/(r + s).
+    These endpoint values match g_endpoint: any white vertex makes g vanish
+    at p=0, any black vertex at p=1.
     """
     if r < 0 or s < 0 or r + s == 0:
         raise ParameterDomainError("need r, s >= 0 with r + s >= 1")
-    one = one_like(p)
-    if 0 < p < 1:
-        return one / (r / (one * p) + s / (one - p))
-    if p == 0:
-        return one * 0 if r else one / s
-    if p == 1:
-        return one * 0 if s else one / r
-    raise ParameterDomainError(f"p={p} outside [0, 1]")
+    p = to_probability(p)
+    m, n = p.numerator, p.denominator
+    denominator = n * (r * (n - m) + s * m)
+    if denominator == 0:
+        return Fraction(1, r + s)
+    return Fraction(m * (n - m), denominator)
 
 
 @dataclass(frozen=True)
@@ -393,13 +390,13 @@ def is_p_core(K: Crg, p: Number) -> bool:
     # a p-core exactly when its full face is feasible and beats the best
     # non-full face by more than the margin.
     full = (1 << K.n) - 1
-    g_full, g_rest = None, float("inf")
+    g_full, g_rest = None, None
     for bits, value, _ in _stationary_points(*_integer_rates(K, p), range(K.n)):
         if bits == full:
             g_full = value
-        else:
-            g_rest = min(g_rest, value)
-    if g_full is None or not g_rest - g_full > margin:
+        elif g_rest is None or value < g_rest:
+            g_rest = value
+    if g_full is None or (g_rest is not None and g_rest - g_full <= margin):
         return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching
@@ -408,22 +405,18 @@ def is_p_core(K: Crg, p: Number) -> bool:
     return True
 
 
+def _white_side_law(K: Crg) -> bool:
+    """The p <= 1/2 law: every edge gray, except white edges between black vertices."""
+    return all(
+        color == GRAY or (color == WHITE and K.vertex_colors[i] == K.vertex_colors[j] == BLACK)
+        for i, j, color in K.pairs()
+    )
+
+
 def p_core_structure_ok(K: Crg, p: Number) -> bool:
     """Structural sanity for p-core CRGs: no black edges and no white edge at a
-    white vertex when p < 1/2, the mirror when p > 1/2, all gray at p = 1/2."""
+    white vertex when p <= 1/2; for p >= 1/2 the same law holds for
+    color_swap(K) at 1 - p, so at p = 1/2 every edge is gray."""
     p = to_fraction(p)
     half = Fraction(1, 2)
-    for i, j, color in K.pairs():
-        if p == half and color != GRAY:
-            return False
-        if p < half:
-            if color == BLACK:
-                return False
-            if color == WHITE and WHITE in (K.vertex_colors[i], K.vertex_colors[j]):
-                return False
-        if p > half:
-            if color == WHITE:
-                return False
-            if color == BLACK and BLACK in (K.vertex_colors[i], K.vertex_colors[j]):
-                return False
-    return True
+    return (p > half or _white_side_law(K)) and (p < half or _white_side_law(color_swap(K)))

@@ -1,11 +1,12 @@
 """Rational-number helpers shared across the package.
 
-Exact mode takes and returns ``fractions.Fraction`` values at its boundaries;
-inside, the support sweep of the g-function scales the rate matrix by the
-denominator of p and runs on integers, building Fractions only for its
-results.  Floats are accepted at entry points and converted exactly (every
-float is a rational); CLI string inputs like ``"1/3"`` or ``"0.3"`` parse to
-the exact decimal/ratio value.
+Every exact route takes p through ``to_fraction`` and returns
+``fractions.Fraction`` values: the closed forms for every p in [0, 1], the
+g-function's support sweep (which scales the rate matrix by the denominator
+of p and runs on integers) for p in (0, 1).  Floats are accepted at entry
+points and converted exactly (every finite float is a rational, so 0.1
+becomes 3602879701896397/2^55); NaN and infinities are refused.  CLI string
+inputs like ``"1/3"`` or ``"0.3"`` parse to the exact decimal/ratio value.
 JSON interchange serializes rationals as ``"num/den"`` strings so nothing is
 lost in transit, and reads counts and indices only from JSON integers and
 sequences only from JSON arrays.
@@ -14,24 +15,32 @@ sequences only from JSON arrays.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from operator import index
+
+from .errors import ParameterDomainError
 
 Number = Fraction | int | float
 
 
-def one_like(p: Number) -> Number:
-    """The number 1 in the kind of p: an exact Fraction for rationals, else a float."""
-    return Fraction(1) if isinstance(p, (Fraction, int)) else 1.0
-
-
 def to_fraction(value: Number | str) -> Fraction:
-    """Convert ints, floats (to their exact binary value), strings, and
-    Fractions to an exact Fraction."""
+    """Convert ints, finite floats (to their exact binary value), strings,
+    and Fractions to an exact Fraction; NaN and infinities are refused."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float) and not isfinite(value):
+        raise ParameterDomainError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def to_probability(value: Number | str) -> Fraction:
+    """to_fraction(value), refused unless it lies in [0, 1]."""
+    p = to_fraction(value)
+    if not 0 <= p.numerator <= p.denominator:
+        raise ParameterDomainError(f"p={value} outside [0, 1]")
+    return p
 
 
 def number_str(value: Number) -> str | float | int:

@@ -178,7 +178,6 @@ def test_criterion_9_weight_propositions():
         f"              asserted={suite['asserted']} vacuous={suite['vacuous']}"
     )
     assert suite["asserted"] >= 10
-    assert not suite["structure_failures"]
     assert not suite["identity_failures"]
 
 

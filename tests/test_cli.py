@@ -194,6 +194,35 @@ def test_maxpoint(capsys):
     assert blob["p_star"] == pytest.approx(0.41421356, abs=1e-6)
 
 
+def _maxpoint_json(p_star, d_star):
+    return f'{{\n  "p_star": {p_star},\n  "d_star": {d_star},\n  "method": "closed-form"\n}}\n'
+
+
+@pytest.mark.parametrize(
+    "h,t,expected",
+    [
+        # 3 - 2 sqrt(2) at the vertex sqrt(2) - 1
+        ("7", "1", _maxpoint_json("0.4142135623730951", "0.1715728752538099")),
+        # the crossing 1/3, where gamma is 1/9
+        ("13", "1", _maxpoint_json("0.3333333333333333", "0.1111111111111111")),
+        ("25", "3", _maxpoint_json("0.5", "0.08333333333333333")),
+    ],
+    ids=["h7-t1", "h13-t1", "h25-t3"],
+)
+def test_maxpoint_golden_stdout(capsys, h, t, expected):
+    assert run(capsys, "maxpoint", "--h", h, "--t", t) == (0, expected, "")
+
+
+def test_curve_golden_stdout(capsys):
+    expected = (
+        "p,gamma_closed,ed_closed,branch,covered,gamma_search\n"
+        "0.3333333333333333,0.1111111111111111,0.1111111111111111,a=2,True,0.1111111111111111\n"
+        "0.36633663366336633,0.11606705224977944,0.11606705224977944,a=2,True,0.11606705224977944\n"
+    )
+    argv = ("curve", "--h", "13", "--t", "2", "--p", "1/3", "--p", "37/101")
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 def test_verify_facts_suite_exit_zero(capsys):
     code, out, _ = run(
         capsys,

@@ -13,6 +13,7 @@ from edcycles.crg import (
     BLACK,
     GRAY,
     WHITE,
+    color_swap,
     component_sets,
     crg_from_json,
     crg_from_pairs,
@@ -257,6 +258,16 @@ def test_p_core_structure_on_certified_cores():
         for K in standard_corpus(99, count=60):
             if is_p_core(K, p):
                 assert p_core_structure_ok(K, p), (K, p)
+
+
+def test_color_swap_exchanges_white_and_black():
+    K = crg_from_pairs((WHITE, BLACK, BLACK), [(0, 1, WHITE), (1, 2, BLACK)])
+    swapped = color_swap(K)
+    assert swapped.vertex_colors == (BLACK, WHITE, WHITE)
+    assert swapped.edge_colors == (BLACK, GRAY, WHITE)
+    assert color_swap(swapped) == K
+    p = Fraction(2, 7)
+    assert rate_matrix(swapped, 1 - p).entries == rate_matrix(K, p).entries
 
 
 def test_is_p_core_float_entry_agrees_with_exact():

@@ -60,6 +60,19 @@ def test_ed_closed_coverage():
     assert ed_closed(div, Fraction(1)) == 0
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_gamma_closed_refuses_non_finite_p(p):
+    with pytest.raises(ParameterDomainError):
+        gamma_closed(PowerCycleParams(13, 2), p)
+
+
+@pytest.mark.parametrize("p", [-5, Fraction(-1, 3), Fraction(4, 3), 1.5])
+def test_ed_closed_refuses_p_outside_unit_interval(p):
+    # (15, 2) is divisible: a negative p lies below p0, yet it is refused, not 'not covered'
+    with pytest.raises(ParameterDomainError):
+        ed_closed(PowerCycleParams(15, 2), p)
+
+
 def test_ed_closed_h_range():
     with pytest.raises(ParameterDomainError):
         ed_closed(PowerCycleParams(12, 2), Fraction(1, 2))  # needs h >= 13
@@ -168,6 +181,19 @@ def test_curve_peak_h25_t3_is_exactly_half():
     point = curve_peak(PowerCycleParams(25, 3))
     assert point.p_star == 0.5
     assert point.method == "closed-form"
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_curve_peak_at_a_crossing_rounds_the_exact_value(t):
+    crossing_peaks = 0
+    for h in range(max(t * (t + 1), 4), 60):
+        params = PowerCycleParams(h, t)
+        point = curve_peak(params)
+        for q in branch_crossings(params):
+            if float(q) == point.p_star:
+                crossing_peaks += 1
+                assert point.d_star == float(gamma_closed(params, q)), (h, t, q)
+    assert crossing_peaks > 0
 
 
 def test_max_point_probe_validates_result():

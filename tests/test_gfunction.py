@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from edcycles.crg import (
     BLACK,
     EDGE_COLORS,
+    GRAY,
     VERTEX_COLORS,
     WHITE,
     Crg,
+    color_swap,
     component_sets,
     crg_from_json,
     crg_from_pairs,
@@ -33,6 +35,7 @@ from edcycles.gfunction import (
     g_krs,
     g_value,
     is_p_core,
+    p_core_structure_ok,
     rate_matrix,
 )
 
@@ -235,6 +238,22 @@ def test_g_endpoint_with_singular_pair_face():
     assert g_endpoint(K, 0) == 1
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: g_value(k_rs(1, 1), p),
+        lambda p: g_value(k_rs(1, 1), p, mode="numeric"),
+        lambda p: is_p_core(k_rs(1, 1), p),
+        lambda p: g_krs(1, 1, p),
+    ],
+    ids=["g_value", "g_value_numeric", "is_p_core", "g_krs"],
+)
+def test_non_finite_p_is_a_domain_error(entry, p):
+    with pytest.raises(ParameterDomainError):
+        entry(p)
+
+
 def test_g_krs_matches_endpoint_conventions():
     assert g_krs(1, 1, 0) == 0
     assert g_krs(0, 3, 0) == Fraction(1, 3)
@@ -390,3 +409,24 @@ def test_joint_and_decomposed_g_agree(K, p):
 def test_crg_json_roundtrip_property(K):
     assert crg_from_json(crg_to_json(K)) == K
     assert crg_from_json(json.dumps(crg_to_json(K))) == K
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(K=crgs(6), p=exact_ps)
+def test_g_value_of_color_swap_at_one_minus_p(K, p):
+    # value, weights and support all agree: the rate matrices are equal
+    assert g_value(color_swap(K), 1 - p) == g_value(K, p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(K=crgs(5), p=exact_ps | st.just(Fraction(1, 2)))
+def test_p_core_structure_law_mirrors_under_color_swap(K, p):
+    assert p_core_structure_ok(color_swap(K), 1 - p) == p_core_structure_ok(K, p)
+    if p < Fraction(1, 2):  # no black edge, no white edge at a white vertex
+        expected = all(
+            c == GRAY or (c == WHITE and K.vertex_colors[i] == K.vertex_colors[j] == BLACK)
+            for i, j, c in K.pairs()
+        )
+        assert p_core_structure_ok(K, p) == expected
+    if p == Fraction(1, 2):
+        assert p_core_structure_ok(K, p) == all(c == GRAY for _, _, c in K.pairs())

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from edcycles.errors import ParameterDomainError
 from edcycles.rationals import number_str, to_fraction
 
 
@@ -19,6 +20,12 @@ def test_to_fraction_variants():
 def test_to_fraction_rejects_junk():
     with pytest.raises(TypeError):
         to_fraction(None)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_to_fraction_refuses_non_finite_floats(value):
+    with pytest.raises(ParameterDomainError):
+        to_fraction(value)
 
 
 def test_number_str_roundtrip():
