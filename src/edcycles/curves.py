@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import sqrt
+from math import nextafter, sqrt
 from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
@@ -281,6 +281,22 @@ def _vertex_below(a: int, c: int, q: Fraction) -> bool:
     return (n - m) ** 2 * a < m * m * c
 
 
+def _rounded_vertex(a: int, c: int) -> float:
+    """The float nearest sqrt(a)/(sqrt(a)+sqrt(c)), for a, c > 0.
+
+    The float expression can land an ulp off, so step to the float whose
+    rounding interval, between the midpoints to its neighbours, holds the
+    vertex; each side is decided exactly by _vertex_below.  The vertex is
+    irrational or has a small denominator, so it is never a midpoint.
+    """
+    x = sqrt(a) / (sqrt(a) + sqrt(c))
+    while _vertex_below(a, c, (Fraction(x) + Fraction(nextafter(x, 0))) / 2):
+        x = nextafter(x, 0)
+    while not _vertex_below(a, c, (Fraction(x) + Fraction(nextafter(x, 1))) / 2):
+        x = nextafter(x, 1)
+    return x
+
+
 def curve_peak(params: PowerCycleParams) -> MaxPoint:
     """Exact peak of the closed-form curve gamma.
 
@@ -289,16 +305,18 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
     vertex at sqrt(a)/(sqrt(a)+sqrt(c)).  Between consecutive branch
     crossings one branch is the minimum, so gamma peaks at the vertex of the
     branch active on the interval holding that vertex, or else at the
-    crossing with the largest value.  A crossing peak is a Fraction, so its
-    d_star is the correctly rounded exact value; a vertex peak is evaluated
-    exactly at the float p_star.
+    crossing with the largest value.  Either way p_star is the peak
+    correctly rounded: a crossing is a Fraction, and a vertex is rounded
+    exactly by _rounded_vertex.  A crossing peak's d_star is the correctly
+    rounded exact value; a vertex peak is evaluated exactly at the float
+    p_star.
     """
     shapes = {label: (a, c) for label, a, c in branches(params)}
     points = [Fraction(0), *branch_crossings(params), Fraction(1)]
     for lo, hi in zip(points, points[1:]):
         a, c = shapes[gamma_closed_with_branch(params, (lo + hi) / 2)[1]]
         if not _vertex_below(a, c, lo) and _vertex_below(a, c, hi):
-            p_star = sqrt(a) / (sqrt(a) + sqrt(c))
+            p_star = _rounded_vertex(a, c)
             break
     else:
         p_star = max(points, key=lambda q: gamma_closed(params, q))

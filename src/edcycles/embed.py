@@ -171,7 +171,7 @@ def find_embedding(
             if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
                 if time.monotonic() > deadline:
                     raise EmbedTimeoutError(
-                        f"embedding search exceeded {timeout} s "
+                        f"embedding search exceeded {timeout} s after {nodes} nodes "
                         f"({H.n}-vertex graph into {K.n}-vertex CRG)"
                     )
             assignment[depth] = u

@@ -5,6 +5,14 @@ chromatic number goes through it too) is exhaustive and exact.  It is
 deliberately limited to small vertex counts and refuses larger instances
 instead of approximating, because downstream verification treats its
 answers as ground truth.
+
+Within one call the search remembers failed frontiers (nogood learning).
+Once vertices 0..v-1 are placed, whether the rest can be placed depends
+only on how the parts meet the placed vertices that still have a later
+neighbour, so a frontier that failed once fails again and is refused at
+once.  This is exact: no answer depends on the cache, only the work does.
+On cycle powers, whose cyclic bandwidth keeps that frontier small, it cuts
+the spectra's unsatisfiable proofs by an order of magnitude.
 """
 
 from __future__ import annotations
@@ -170,7 +178,25 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
     Backtracking over vertices in index order.  Parts of the same kind are
     interchangeable, so a vertex may open only the first still-empty part of
     each kind; this prunes the r!*s! relabelling symmetry (vertex 0 always
-    lands in the first independent part or the first clique part).
+    lands in the first independent part or the first clique part).  The
+    rule stays complete from any partial placement, not only from the root.
+
+    Failed frontiers are cached per call.  Once vertices 0..v-1 are placed,
+    a later vertex meets the placed ones only inside boundary[v], the placed
+    vertices with a neighbour >= v.  Whether it fits an independent part
+    depends only on the part's projection onto boundary[v]; a clique part
+    with a member outside boundary[v] can take no later vertex at all, and
+    an open one lies wholly inside it.  So whether a placement can be
+    completed is a function of two multisets, the projections of the
+    independent parts and the masks of the open clique parts, empty parts
+    counting as 0.  A node that fails records that key at its depth, and a
+    node whose key already failed there is refused without a search.  The
+    key is formed just before a node's first child; a node with no child
+    fails faster by its own loop and is not recorded.  Where boundary[v] is
+    every placed vertex the key is the whole partial partition, which the
+    search meets once, so such depths keep no cache.  On cycle powers,
+    whose cyclic bandwidth t keeps boundary[v] within 2t vertices,
+    unsatisfiable proofs shrink to a walk over few distinct frontiers.
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
@@ -186,11 +212,34 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
     adj = g.adjacency_masks
     ind_masks = [0] * r
     clq_masks = [0] * s
+    boundary = [0] * n
+    later = 0  # neighbours of the vertices >= v
+    for v in range(n - 1, -1, -1):
+        later |= adj[v]
+        boundary[v] = later & ((1 << v) - 1)
+    failed = [None if boundary[v] == (1 << v) - 1 else set() for v in range(n)]
+    clique_bit = 1 << n
+    width = n + 1
+
+    def frontier(v: int) -> int:
+        """The key at depth v, packed in one int: a leading 1, then the
+        sorted fields in (n+1)-bit slots.  Clique masks carry bit n, which
+        no projection has, so the int determines both multisets."""
+        b = boundary[v]
+        fields = [m & b for m in ind_masks]
+        fields += [m | clique_bit for m in clq_masks if m & b == m]
+        fields.sort()
+        key = 1
+        for x in fields:
+            key = key << width | x
+        return key
 
     def place(v: int) -> bool:
         if v == n:
             return True
         a = adj[v]
+        seen = failed[v]
+        key = None
         opened = False
         for i in range(r):
             m = ind_masks[i]
@@ -199,6 +248,10 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
                     break
                 opened = True
             if m & a == 0:
+                if key is None and seen is not None:
+                    key = frontier(v)
+                    if key in seen:
+                        return False
                 ind_masks[i] = m | 1 << v
                 if place(v + 1):
                     return True
@@ -211,10 +264,16 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
                     break
                 opened = True
             if m & ~a == 0:
+                if key is None and seen is not None:
+                    key = frontier(v)
+                    if key in seen:
+                        return False
                 clq_masks[i] = m | 1 << v
                 if place(v + 1):
                     return True
                 clq_masks[i] = m
+        if key is not None:
+            seen.add(key)
         return False
 
     return place(0)

@@ -34,7 +34,11 @@ GRAY_CYCLE_CASES = (
     (3, 25, (0, 1, 2)),
 )
 
-CROSS_VALIDATION_PAIRS = tuple((1, h) for h in range(5, 13)) + tuple((2, h) for h in range(13, 19))
+CROSS_VALIDATION_PAIRS = (
+    tuple((1, h) for h in range(5, 13))
+    + tuple((2, h) for h in range(13, 19))
+    + tuple((3, h) for h in range(12, 25))
+)
 GAMMA_GRID_DENOMINATOR = 100
 WEIGHT_PS = (Fraction(1, 4), Fraction(3, 4))
 MIN_ASSERTED = 10  # fewer certified p-cores than this fails the weights suite

@@ -201,8 +201,8 @@ def _maxpoint_json(p_star, d_star):
 @pytest.mark.parametrize(
     "h,t,expected",
     [
-        # 3 - 2 sqrt(2) at the vertex sqrt(2) - 1
-        ("7", "1", _maxpoint_json("0.4142135623730951", "0.1715728752538099")),
+        # 3 - 2 sqrt(2) at the vertex sqrt(2) - 1, rounded correctly
+        ("7", "1", _maxpoint_json("0.41421356237309503", "0.1715728752538099")),
         # the crossing 1/3, where gamma is 1/9
         ("13", "1", _maxpoint_json("0.3333333333333333", "0.1111111111111111")),
         ("25", "3", _maxpoint_json("0.5", "0.08333333333333333")),

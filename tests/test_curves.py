@@ -1,6 +1,7 @@
 """Closed-form curves, their peaks, and the integer fact sweeps."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from edcycles.curves import (
     black_part_g_bound,
     branch_crossings,
+    branches,
     curve_csv,
     curve_peak,
     curve_samples,
@@ -194,6 +196,27 @@ def test_curve_peak_at_a_crossing_rounds_the_exact_value(t):
                 crossing_peaks += 1
                 assert point.d_star == float(gamma_closed(params, q)), (h, t, q)
     assert crossing_peaks > 0
+
+
+def test_curve_peak_rounds_every_vertex_peak_correctly():
+    # A branch 1/(a/p + c/(1-p)) whose vertex lies on gamma is the peak;
+    # p_star must be that vertex correctly rounded, found here at 60 digits.
+    vertex_peaks = 0
+    with localcontext(prec=60):
+        for t in range(1, 6):
+            for h in range(max(t * (t + 1), 4), 200):
+                params = PowerCycleParams(h, t)
+                shapes = [(a, c) for _, a, c in branches(params)]
+                point = curve_peak(params)
+                for a, c in shapes:
+                    if a == 0 or c == 0:
+                        continue
+                    x = Decimal(a).sqrt() / (Decimal(a).sqrt() + Decimal(c).sqrt())
+                    own = 1 / (a / x + c / (1 - x))
+                    if all(own <= 1 / (a2 / x + c2 / (1 - x)) for a2, c2 in shapes):
+                        vertex_peaks += 1
+                        assert point.p_star == float(x), (h, t, a, c)
+    assert vertex_peaks == 116
 
 
 def test_max_point_probe_validates_result():

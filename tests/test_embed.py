@@ -120,6 +120,12 @@ def test_timeout_raises_instead_of_answering():
         embeds(H, K, timeout=1e-4)
 
 
+def test_timeout_reports_nodes_searched():
+    # the clock is read every 1024 nodes, so a zero budget stops at the first read
+    with pytest.raises(EmbedTimeoutError, match=r"0 s after 1024 nodes"):
+        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=0)
+
+
 def test_gray_cycle_crg_shape():
     K = gray_cycle_crg(2, 4)
     assert K.vertex_colors == (WHITE, WHITE, BLACK, BLACK, BLACK, BLACK)

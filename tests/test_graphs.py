@@ -152,6 +152,43 @@ def test_partitionable_agrees_with_brute_force():
         )
 
 
+def recurring_frontier_graph(rng: random.Random, n: int) -> Graph:
+    """A banded graph with wrap-around edges, or a disjoint union of small
+    cliques and paths: few placed vertices keep a later neighbour, so the
+    search meets the same frontier along different branches."""
+    if rng.random() < 0.5:
+        width = rng.randint(1, 2)
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if min(j - i, n - (j - i)) <= width and rng.random() < 0.8
+        ]
+    else:
+        edges = []
+        start = 0
+        while start < n:
+            block = range(start, min(n, start + rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                edges += itertools.combinations(block, 2)
+            else:
+                edges += zip(block, block[1:])
+            start = block.stop
+    return Graph.from_edges(n, edges)
+
+
+def test_partitionable_agrees_with_brute_force_on_recurring_frontiers():
+    rng = random.Random(13)
+    for trial in range(250):
+        g = recurring_frontier_graph(rng, rng.randint(4, 8))
+        r, s = rng.randint(0, 3), rng.randint(0, 3)
+        assert partitionable(g, r, s) == brute_partitionable(g, r, s), (
+            g.edges,
+            r,
+            s,
+        )
+
+
 def test_partitionable_monotone():
     rng = random.Random(11)
     for trial in range(25):
@@ -164,7 +201,7 @@ def test_partitionable_monotone():
 
 @pytest.mark.parametrize(
     "h,t",
-    [(5, 1), (6, 1), (8, 1), (12, 1), (13, 2), (15, 2)],
+    [(5, 1), (6, 1), (8, 1), (12, 1), (13, 2), (15, 2), (18, 3), (21, 3), (24, 2), (24, 3)],
 )
 def test_partition_boundary_for_cycle_powers(h, t):
     params = PowerCycleParams(h, t)
