@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import curves, verify
 from .crg import crg_from_json, k_rs
-from .embed import find_embedding
+from .embed import DEFAULT_TIMEOUT, find_embedding
 from .errors import EdcyclesError, ParameterDomainError
 from .gfunction import g_endpoint, g_value
 from .graphs import EXACT_SEARCH_BOUND, PowerCycleParams, graph_from_json, power_cycle
@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_embed = subs.add_parser("embed", help="decide graph-into-CRG embedding")
     p_embed.add_argument("--crg", required=True, help="CRG JSON file")
-    p_embed.add_argument("--timeout", type=float, default=10.0)
+    p_embed.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     _add_common(p_embed, graph_input=True)
     p_embed.set_defaults(func=cmd_embed)
 

@@ -113,11 +113,7 @@ class RateMatrix:
     Entries are exact Fractions; a float p is converted exactly first.
     """
 
-    p: Fraction
     entries: tuple[tuple[Fraction, ...], ...]
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
 
 
 def rate_matrix(K: Crg, p: Number) -> RateMatrix:
@@ -128,7 +124,7 @@ def rate_matrix(K: Crg, p: Number) -> RateMatrix:
         rows[v][v] = by_color[K.vertex_colors[v]]
     for i, j, color in K.pairs():
         rows[i][j] = rows[j][i] = by_color[color]
-    return RateMatrix(p, tuple(tuple(row) for row in rows))
+    return RateMatrix(tuple(tuple(row) for row in rows))
 
 
 def component_sets(K: Crg) -> list[tuple[int, ...]]:

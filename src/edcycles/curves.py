@@ -253,14 +253,12 @@ def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
     stops once the bracket is narrower than MAX_POINT_TOL.  It is the
     generic cross-check for curve_peak's exact peak of gamma.
     """
-    a, b = Fraction(0), Fraction(1)
-    step = (b - a) / (CONCAVITY_SAMPLES - 1)
-    values = [curve(a + i * step) for i in range(CONCAVITY_SAMPLES)]
+    grid = uniform_p_grid(CONCAVITY_SAMPLES)
+    values = [curve(p) for p in grid]
     for i in range(CONCAVITY_SAMPLES - 2):
         if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
-            raise NonConcavityError(
-                f"midpoint concavity fails near p={float(a + (i + 1) * step)}"
-            )
+            raise NonConcavityError(f"midpoint concavity fails near p={float(grid[i + 1])}")
+    a, b = Fraction(0), Fraction(1)
     while b - a > MAX_POINT_TOL:
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3

@@ -320,58 +320,26 @@ def g_krs(r: int, s: int, p: Number) -> Fraction:
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Weighted and counted neighborhoods of every vertex under fixed weights.
-
-    gray/white/black are the weight sums over the correspondingly colored
-    neighborhoods, with a vertex's own weight folded into its own color class;
-    the three sum to 1 for each vertex.  gray_codegree maps vertex pairs to
-    the weight of their common gray neighborhood.
-    """
+    """Gray neighbourhoods of every vertex under fixed weights: gray is the
+    weight of each vertex's gray neighbourhood, gray_neighbor_count its size."""
 
     gray: tuple[Number, ...]
-    white: tuple[Number, ...]
-    black: tuple[Number, ...]
     gray_neighbor_count: tuple[int, ...]
-    gray_codegree: dict[tuple[int, int], Number]
 
 
 def degree_report(K: Crg, g: GValue) -> DegreeReport:
     x = g.weights
     if len(x) != K.n:
         raise ParameterDomainError("weight vector does not match the CRG")
-    zero = x[0] * 0
-    gray = [zero] * K.n
-    white = [zero] * K.n
-    black = [zero] * K.n
-    gray_sets = [set() for _ in range(K.n)]
-    for v in range(K.n):
-        if K.vertex_colors[v] == WHITE:
-            white[v] = white[v] + x[v]
-        else:
-            black[v] = black[v] + x[v]
+    gray = [x[0] * 0] * K.n
+    count = [0] * K.n
     for i, j, color in K.pairs():
         if color == GRAY:
-            gray[i] = gray[i] + x[j]
-            gray[j] = gray[j] + x[i]
-            gray_sets[i].add(j)
-            gray_sets[j].add(i)
-        elif color == WHITE:
-            white[i] = white[i] + x[j]
-            white[j] = white[j] + x[i]
-        else:
-            black[i] = black[i] + x[j]
-            black[j] = black[j] + x[i]
-    codegree = {}
-    for i in range(K.n):
-        for j in range(i + 1, K.n):
-            codegree[(i, j)] = sum((x[w] for w in gray_sets[i] & gray_sets[j]), zero)
-    return DegreeReport(
-        tuple(gray),
-        tuple(white),
-        tuple(black),
-        tuple(len(s) for s in gray_sets),
-        codegree,
-    )
+            gray[i] += x[j]
+            gray[j] += x[i]
+            count[i] += 1
+            count[j] += 1
+    return DegreeReport(tuple(gray), tuple(count))
 
 
 def is_p_core(K: Crg, p: Number) -> bool:

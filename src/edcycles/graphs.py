@@ -6,13 +6,11 @@ deliberately limited to small vertex counts and refuses larger instances
 instead of approximating, because downstream verification treats its
 answers as ground truth.
 
-Within one call the search remembers failed frontiers (nogood learning).
-Once vertices 0..v-1 are placed, whether the rest can be placed depends
-only on how the parts meet the placed vertices that still have a later
-neighbour, so a frontier that failed once fails again and is refused at
-once.  This is exact: no answer depends on the cache, only the work does.
-On cycle powers, whose cyclic bandwidth keeps that frontier small, it cuts
-the spectra's unsatisfiable proofs by an order of magnitude.
+The search states once when a part may take a vertex, for independent and
+clique parts alike, and within one call it remembers failed frontiers
+(nogood learning); partitionable says why that cache is exact.  On cycle
+powers, whose cyclic bandwidth keeps the frontier small, it cuts the
+spectra's unsatisfiable proofs by an order of magnitude.
 """
 
 from __future__ import annotations
@@ -175,11 +173,15 @@ def chromatic_number(g: Graph) -> int:
 def partitionable(g: Graph, r: int, s: int) -> bool:
     """Can V(g) be split into at most r independent sets and at most s cliques?
 
-    Backtracking over vertices in index order.  Parts of the same kind are
-    interchangeable, so a vertex may open only the first still-empty part of
-    each kind; this prunes the r!*s! relabelling symmetry (vertex 0 always
-    lands in the first independent part or the first clique part).  The
-    rule stays complete from any partial placement, not only from the root.
+    Backtracking over vertices in index order, with one placement rule for
+    both kinds of part: a part with member mask m takes v when m & clash == 0,
+    where clash is v's neighbourhood for an independent part and its
+    complement for a clique part.  Independent parts are tried first.  Parts
+    of the same kind are interchangeable, so a vertex may open only the
+    first still-empty part of each kind; this prunes the r!*s! relabelling
+    symmetry and stays complete from any partial placement, not only from
+    the root.  An empty graph is placed at once, and with no parts at all
+    vertex 0 has nowhere to go.
 
     Failed frontiers are cached per call.  Once vertices 0..v-1 are placed,
     a later vertex meets the placed ones only inside boundary[v], the placed
@@ -190,13 +192,15 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
     completed is a function of two multisets, the projections of the
     independent parts and the masks of the open clique parts, empty parts
     counting as 0.  A node that fails records that key at its depth, and a
-    node whose key already failed there is refused without a search.  The
-    key is formed just before a node's first child; a node with no child
-    fails faster by its own loop and is not recorded.  Where boundary[v] is
-    every placed vertex the key is the whole partial partition, which the
-    search meets once, so such depths keep no cache.  On cycle powers,
-    whose cyclic bandwidth t keeps boundary[v] within 2t vertices,
-    unsatisfiable proofs shrink to a walk over few distinct frontiers.
+    node whose key already failed there is refused without a search.  That
+    is sound because the key fixes the whole subtree below the node, so no
+    answer depends on the cache, only the work does.  The key is formed
+    just before a node's first child; a node with no child fails faster by
+    its own loop and is not recorded.  Where boundary[v] is every placed
+    vertex the key is the whole partial partition, which the search meets
+    once, so such depths keep no cache.  On cycle powers, whose cyclic
+    bandwidth t keeps boundary[v] within 2t vertices, unsatisfiable proofs
+    shrink to a walk over few distinct frontiers.
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
@@ -205,10 +209,6 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
             f"partitionable: {g.n} vertices exceeds exact-search bound {EXACT_SEARCH_BOUND}"
         )
     n = g.n
-    if n == 0:
-        return True
-    if r + s == 0:
-        return False
     adj = g.adjacency_masks
     ind_masks = [0] * r
     clq_masks = [0] * s
@@ -237,41 +237,24 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
     def place(v: int) -> bool:
         if v == n:
             return True
-        a = adj[v]
         seen = failed[v]
         key = None
-        opened = False
-        for i in range(r):
-            m = ind_masks[i]
-            if m == 0:
-                if opened:
-                    break
-                opened = True
-            if m & a == 0:
-                if key is None and seen is not None:
-                    key = frontier(v)
-                    if key in seen:
-                        return False
-                ind_masks[i] = m | 1 << v
-                if place(v + 1):
-                    return True
-                ind_masks[i] = m
-        opened = False
-        for i in range(s):
-            m = clq_masks[i]
-            if m == 0:
-                if opened:
-                    break
-                opened = True
-            if m & ~a == 0:
-                if key is None and seen is not None:
-                    key = frontier(v)
-                    if key in seen:
-                        return False
-                clq_masks[i] = m | 1 << v
-                if place(v + 1):
-                    return True
-                clq_masks[i] = m
+        for masks, clash in ((ind_masks, adj[v]), (clq_masks, ~adj[v])):
+            opened = False
+            for i, m in enumerate(masks):
+                if m == 0:
+                    if opened:
+                        break
+                    opened = True
+                if m & clash == 0:
+                    if key is None and seen is not None:
+                        key = frontier(v)
+                        if key in seen:
+                            return False
+                    masks[i] = m | 1 << v
+                    if place(v + 1):
+                        return True
+                    masks[i] = m
         if key is not None:
             seen.add(key)
         return False
@@ -296,12 +279,10 @@ def spectrum_partition_witness(params: PowerCycleParams, a: int) -> PartitionWit
     Vertices are 0-indexed.  Every part is re-checked before returning.
     """
     h, t = params.h, params.t
-    if not 0 <= a <= t:
-        raise ParameterDomainError(f"a={a} outside 0..{t}")
+    k = params.ell(a) - 1
     params.require_gamma_range("witness construction")
     g = params.graph()
     block = t + a + 1
-    k = params.ell(a) - 1
     blocks = [list(range(i * block, (i + 1) * block)) for i in range(k)]
     blocks.append(list(range(k * block, h)))
 

@@ -3,8 +3,10 @@
 The clique spectrum of a forbidden graph H collects the pairs (r, s) for
 which V(H) cannot be partitioned into r independent sets and s cliques.  It
 is a staircase (a Ferrers diagram): shrinking either coordinate preserves
-membership.  The curve gamma(p) takes the minimum of the all-gray-CRG
-closed form over the spectrum; only the extreme points can attain it.
+membership.  clique_spectrum walks down that staircase once, as in
+saddleback search, refuting at most one pair per row.  The curve gamma(p)
+takes the minimum of the all-gray-CRG closed form over the spectrum; only
+the extreme points can attain it.
 
 Everything here goes through the exhaustive partition oracle, never through
 closed-form shortcuts, so it can serve as the independent side of
@@ -14,6 +16,7 @@ cross-validation against derived formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 from .errors import ParameterDomainError, TruncatedSpectrumError
@@ -42,18 +45,6 @@ class CliqueSpectrum:
         }
 
 
-def _row_boundary(H: Graph, r: int, hi: int) -> int:
-    """Least s with a valid (r, s)-partition, found by monotone bisection."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if partitionable(H, r, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def clique_spectrum(
     H: Graph,
     r_max: int | None = None,
@@ -61,17 +52,26 @@ def clique_spectrum(
 ) -> CliqueSpectrum:
     """Spectrum of Forb(H) up to the given bounds.
 
-    With bounds omitted, rows are explored until an empty row certifies
-    closure on both axes, so the result is never truncated.  Explicit bounds
-    are honored and the truncated flag reports whether anything was clipped.
+    Row r's boundary is the least s with an (r, s)-partition.  Boundaries
+    only shrink as r grows, and row 0's is at most H.n (singleton cliques),
+    so one staircase walk finds them all: start at s = H.n and, on each row,
+    step s down while partitionable(H, r, s - 1) holds.  Each row costs one
+    refutation at most, the one that stops its walk.  With bounds omitted,
+    rows are explored until an empty row certifies closure on both axes, so
+    the result is never truncated.  Explicit bounds are honored and the
+    truncated flag reports whether anything was clipped.
     """
     for name, bound in (("r_max", r_max), ("s_max", s_max)):
         if bound is not None and bound < 0:
             raise ParameterDomainError(f"{name}={bound} must be nonnegative")
-    boundaries = [_row_boundary(H, 0, H.n)]
-    # row boundaries only shrink, so an empty row certifies closure
-    while boundaries[-1] > 0 and (r_max is None or len(boundaries) <= r_max):
-        boundaries.append(_row_boundary(H, len(boundaries), boundaries[-1]))
+    boundaries = []
+    s = H.n
+    for r in count():
+        while s > 0 and partitionable(H, r, s - 1):
+            s -= 1
+        boundaries.append(s)
+        if s == 0 or r == r_max:  # an empty row certifies closure
+            break
     s_cap = boundaries[0] if s_max is None else min(boundaries[0], s_max + 1)
     # truncated: no empty row reached (more rows may exist), or clipped in s
     truncated = boundaries[-1] > 0 or s_cap < boundaries[0]

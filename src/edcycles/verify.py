@@ -39,7 +39,7 @@ CROSS_VALIDATION_PAIRS = (
     + tuple((2, h) for h in range(13, 19))
     + tuple((3, h) for h in range(12, 25))
 )
-GAMMA_GRID_DENOMINATOR = 100
+GAMMA_GRID_SAMPLES = 101  # p = 0, 1/100, ..., 1
 WEIGHT_PS = (Fraction(1, 4), Fraction(3, 4))
 MIN_ASSERTED = 10  # fewer certified p-cores than this fails the weights suite
 COMPONENT_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -84,6 +84,7 @@ def gray_cycle_suite() -> dict:
 def gamma_cross_suite() -> dict:
     """Search-based spectra against predictions, and search-based gamma
     against the closed form, exactly, on a rational grid."""
+    grid = curves.uniform_p_grid(GAMMA_GRID_SAMPLES)
     results = []
     ok = True
     for t, h in CROSS_VALIDATION_PAIRS:
@@ -92,8 +93,7 @@ def gamma_cross_suite() -> dict:
         predicted = predicted_extreme_points(params)
         extreme_match = list(spec.extreme_points) == predicted
         mismatches = []
-        for k in range(GAMMA_GRID_DENOMINATOR + 1):
-            p = Fraction(k, GAMMA_GRID_DENOMINATOR)
+        for p in grid:
             via_search = gamma(spec, p)
             via_formula = curves.gamma_closed(params, p)
             if via_search != via_formula:
@@ -107,7 +107,7 @@ def gamma_cross_suite() -> dict:
             "predicted": [list(e) for e in predicted],
             "extreme_match": extreme_match,
             "gamma_mismatches": mismatches[:10],
-            "gamma_points": GAMMA_GRID_DENOMINATOR + 1,
+            "gamma_points": len(grid),
         }
         results.append(entry)
         ok = ok and extreme_match and not mismatches

@@ -71,7 +71,7 @@ def test_rate_matrix_half_is_flat():
         M = rate_matrix(K, Fraction(1, 2))
         for i in range(K.n):
             for j in range(K.n):
-                assert M[i, j] in (Fraction(0), Fraction(1, 2))
+                assert M.entries[i][j] in (Fraction(0), Fraction(1, 2))
 
 
 def test_rate_matrix_complement_consistency():
@@ -85,9 +85,9 @@ def test_rate_matrix_complement_consistency():
         for i in range(K.n):
             for j in range(K.n):
                 if i != j and K.edge_color(i, j) == GRAY:
-                    assert M[i, j] == W[i, j] == 0
+                    assert M.entries[i][j] == W.entries[i][j] == 0
                 else:
-                    assert M[i, j] + W[i, j] == 1
+                    assert M.entries[i][j] + W.entries[i][j] == 1
 
 
 def test_rate_matrix_rejects_bad_p():

@@ -276,28 +276,19 @@ def test_degree_report_k11_values():
     gv = g_value(K, Fraction(1, 3))
     assert gv.weights == (Fraction(2, 3), Fraction(1, 3))
     report = degree_report(K, gv)
-    assert report.white[0] == Fraction(2, 3)
     assert report.gray[0] == Fraction(1, 3)
 
 
-def test_degree_report_partition_of_weight():
+def test_degree_report_gray_on_random_crgs():
     rng = random.Random(41)
     for _ in range(20):
         K = random_crg(rng, rng.randint(1, 7))
         gv = g_value(K, Fraction(2, 5))
         report = degree_report(K, gv)
         for v in range(K.n):
-            assert report.gray[v] + report.white[v] + report.black[v] == 1
-
-
-def test_degree_report_codegree():
-    K = k_rs(1, 2)
-    gv = g_value(K, Fraction(1, 2))
-    report = degree_report(K, gv)
-    # all-gray triangle: common gray neighborhood of a pair is the third vertex
-    assert report.gray_codegree[(0, 1)] == gv.weights[2]
-    assert report.gray_codegree[(0, 2)] == gv.weights[1]
-    assert report.gray_codegree[(1, 2)] == gv.weights[0]
+            gray = [w for w in range(K.n) if w != v and K.edge_color(v, w) == GRAY]
+            assert report.gray[v] == sum(gv.weights[w] for w in gray)
+            assert report.gray_neighbor_count[v] == len(gray)
 
 
 def gauss_jordan_reference(M, support):

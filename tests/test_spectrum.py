@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_graphs import brute_partitionable
 
+from edcycles import spectrum
 from edcycles.errors import ParameterDomainError, TruncatedSpectrumError
 from edcycles.gfunction import g_krs
-from edcycles.graphs import Graph, PowerCycleParams, power_cycle
+from edcycles.graphs import Graph, PowerCycleParams, partitionable, power_cycle
 from edcycles.spectrum import (
     clique_spectrum,
     gamma,
@@ -57,6 +59,51 @@ def test_ferrers_property():
                 assert (r - 1, s) in spec.pairs
             if s >= 1:
                 assert (r, s - 1) in spec.pairs
+
+
+def test_bounded_spectra_match_brute_force():
+    # pairs are the in-bounds (r, s) without a partition; truncated says that
+    # row r_max is not yet empty, or that row 0 runs past s_max
+    rng = random.Random(61)
+    bounds = (None, 0, 1, 2, 3)
+    for _ in range(12):
+        n = rng.randint(0, 6)
+        H = random_graph(rng, n)
+        failing = {
+            (r, s)
+            for r in range(n + 1)
+            for s in range(n + 1)
+            if not brute_partitionable(H, r, s)
+        }
+        for r_max in bounds:
+            for s_max in bounds:
+                spec = clique_spectrum(H, r_max, s_max)
+                assert spec.pairs == {
+                    (r, s)
+                    for r, s in failing
+                    if (r_max is None or r <= r_max) and (s_max is None or s <= s_max)
+                }, (H.edges, r_max, s_max)
+                assert spec.truncated == (
+                    (r_max is not None and (r_max, 0) in failing)
+                    or (s_max is not None and (0, s_max + 1) in failing)
+                ), (H.edges, r_max, s_max)
+
+
+@pytest.mark.parametrize("h, t", [(13, 2), (21, 3), (24, 3)])
+def test_spectrum_walk_refutes_once_per_row(monkeypatch, h, t):
+    # the staircase walk steps s down from h to 0, one satisfiable call per
+    # step, and stops each of the chi nonempty rows with one refutation
+    answers = []
+
+    def counted(H, r, s):
+        answers.append(partitionable(H, r, s))
+        return answers[-1]
+
+    monkeypatch.setattr(spectrum, "partitionable", counted)
+    params = PowerCycleParams(h, t)
+    spec = power_cycle_spectrum(params)
+    assert answers.count(False) == len({r for r, _ in spec.pairs}) == params.chi
+    assert answers.count(True) == h
 
 
 def test_extreme_points_incomparable():
