@@ -55,7 +55,6 @@ from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     SizeExceededError,
-    TruncatedSpectrumError,
 )
 from .gfunction import (
     DegreeReport,

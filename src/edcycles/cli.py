@@ -2,8 +2,10 @@
 
 Subcommands: curve, spectrum, g, embed, maxpoint, verify.  curve writes CSV,
 or JSON with --format json; the others write JSON (rationals serialized as
-"num/den" strings).  Errors leave as machine-readable JSON on stderr with
-exit code 2, and verify exits 1 when any suite fails.
+"num/den" strings).  spectrum always prints the complete spectrum, g always
+answers exactly, and verify always runs each suite's full fixed sweep.
+Errors leave as machine-readable JSON on stderr with exit code 2, and
+verify exits 1 when any suite fails.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = clique_spectrum(_graph_from_args(args), r_max=args.r_max, s_max=args.s_max)
+    spec = clique_spectrum(_graph_from_args(args))
     _emit_json(spec.to_json(), args.out)
     return 0
 
@@ -111,12 +113,11 @@ def cmd_g(args) -> int:
     else:
         raise ParameterDomainError("give either --crg FILE or --krs R S")
     p = args.p
-    if p in (0, 1) and args.mode == "exact":
+    if p in (0, 1):
         value = g_endpoint(K, int(p))
         _emit_json({"p": number_str(p), "g": number_str(value), "mode": "endpoint"}, args.out)
         return 0
-    gv = g_value(K, p if args.mode == "exact" else float(p), mode=args.mode)
-    _emit_json(gv.to_json(p), args.out)
+    _emit_json(g_value(K, p).to_json(p), args.out)
     return 0
 
 
@@ -138,15 +139,7 @@ def cmd_maxpoint(args) -> int:
 
 def cmd_verify(args) -> int:
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite.replace("-", "_"),)
-    report = verify.run_suites(
-        names,
-        seed=args.seed,
-        h_max=args.h_max,
-        t_max=args.t_max,
-        xy_max=args.xy_max,
-        p_denominator=args.p_denominator,
-        corpus_count=args.count,
-    )
+    report = verify.run_suites(names)
     _emit_json(report, args.out)
     return 0 if report["ok"] else 1
 
@@ -175,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_spec = subs.add_parser("spectrum", help="clique spectrum and extreme points")
-    p_spec.add_argument("--r-max", type=int, default=None)
-    p_spec.add_argument("--s-max", type=int, default=None)
     _add_common(p_spec, graph_input=True)
     p_spec.set_defaults(func=cmd_spectrum)
 
@@ -185,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.add_argument("--krs", type=int, nargs=2, default=None, metavar=("R", "S"),
                      help="all-gray CRG with R white and S black vertices")
     p_g.add_argument("--p", type=_rational, required=True)
-    p_g.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    p_g.add_argument("--exact", dest="mode", action="store_const", const="exact")
-    p_g.add_argument("--numeric", dest="mode", action="store_const", const="numeric")
     _add_common(p_g)
     p_g.set_defaults(func=cmd_g)
 
@@ -209,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", *(name.replace("_", "-") for name in verify.SUITE_NAMES)),
         default="all",
     )
-    p_verify.add_argument("--h-max", type=int, default=400)
-    p_verify.add_argument("--t-max", type=int, default=8)
-    p_verify.add_argument("--xy-max", type=int, default=60)
-    p_verify.add_argument("--p-denominator", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p_verify.add_argument("--count", type=int, default=200)
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

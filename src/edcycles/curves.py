@@ -26,17 +26,28 @@ from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
 from .gfunction import g_krs
-from .graphs import PowerCycleParams
+from .graphs import PowerCycleParams, gray_window_h_min
 from .rationals import Number, to_fraction, to_probability
 
 MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
 CONCAVITY_SAMPLES = 101
 THREE_TERM_T = (2, 3)  # powers t whose three-term reduction the facts sweep checks
+# the facts sweep's fixed ranges: h, t, x and y from 1, p on a 1/denominator grid
+FACTS_H_MAX = 400
+FACTS_T_MAX = 8
+FACTS_XY_MAX = 60
+FACTS_P_DENOMINATOR = 1000
 
 
-def ed_range_ok(params: PowerCycleParams) -> bool:
-    return params.h >= 2 * params.t * (params.t + 1) + 1
+def ed_h_min(t: int) -> int:
+    """2t(t+1)+1, the least h at which ed equals the closed form at all."""
+    return 2 * t * (t + 1) + 1
+
+
+def three_term_h_min(t: int) -> int:
+    """4t^2+10t+24, from which the three-term reduction holds (t >= 2)."""
+    return 4 * t * t + 10 * t + 24
 
 
 @cache
@@ -77,10 +88,10 @@ def ed_closed(params: PowerCycleParams, p: Number) -> Fraction | None:
     Requires h >= 2t(t+1)+1.  When t+1 divides h the equality with gamma is
     only available for p >= p0 = 1/ell(t).
     """
-    if not ed_range_ok(params):
+    if params.h < ed_h_min(params.t):
         raise ParameterDomainError(
             f"closed-form edit distance needs h >= 2t(t+1)+1 = "
-            f"{2 * params.t * (params.t + 1) + 1}, got h={params.h}"
+            f"{ed_h_min(params.t)}, got h={params.h}"
         )
     p = to_probability(p)
     if not ed_covered(params, p):
@@ -121,10 +132,10 @@ def gamma_three_term(params: PowerCycleParams, p: Number) -> Fraction:
     t = params.t
     if t < 2:
         raise ParameterDomainError("three-term reduction needs t >= 2")
-    if params.h < 4 * t * t + 10 * t + 24:
+    if params.h < three_term_h_min(t):
         raise ParameterDomainError(
             f"three-term reduction needs h >= 4t^2+10t+24 = "
-            f"{4 * t * t + 10 * t + 24}, got h={params.h}"
+            f"{three_term_h_min(t)}, got h={params.h}"
         )
     return min(g_krs(a, c, p) for _, a, c in branches(params) if a in (0, t, t + 1))
 
@@ -208,7 +219,7 @@ def curve_samples(
 ) -> list[CurveSample]:
     if grid is None:
         grid = default_p_grid(params)
-    h_ok = ed_range_ok(params)
+    h_ok = params.h >= ed_h_min(params.t)
     samples = []
     for p in grid:
         value, branch = gamma_closed_with_branch(params, p)
@@ -367,14 +378,15 @@ class FactsReport:
         }
 
 
-def _check_floor_ceiling_duality(fact: FactCheck, h_max: int, xy_max: int) -> None:
+def _check_floor_ceiling_duality(fact: FactCheck) -> None:
     # floor(h/x) >= y iff floor(h/y) >= x; ceil(h/x) <= y iff ceil(h/y) <= x
-    for h in range(1, h_max + 1):
-        floors = [0] + [h // d for d in range(1, xy_max + 1)]
-        ceils = [0] + [-(-h // d) for d in range(1, xy_max + 1)]
-        for x in range(1, xy_max + 1):
+    xy = range(1, FACTS_XY_MAX + 1)
+    for h in range(1, FACTS_H_MAX + 1):
+        floors = [0] + [h // d for d in xy]
+        ceils = [0] + [-(-h // d) for d in xy]
+        for x in xy:
             fx, cx = floors[x], ceils[x]
-            for y in range(1, xy_max + 1):
+            for y in xy:
                 fact.record()
                 if (fx >= y) != (floors[y] >= x):
                     fact.fail(("floor", h, x, y))
@@ -382,26 +394,26 @@ def _check_floor_ceiling_duality(fact: FactCheck, h_max: int, xy_max: int) -> No
                     fact.fail(("ceiling", h, x, y))
 
 
-def _check_ceiling_floor_bound(fact: FactCheck, h_max: int, t_max: int) -> None:
+def _check_ceiling_floor_bound(fact: FactCheck) -> None:
     # ceil(h/(t+a+1)) <= floor(h/t) once h >= max(t(t-1), 2t+2), for a < t
-    for t in range(1, t_max + 1):
-        for h in range(max(t * (t - 1), 2 * t + 2), h_max + 1):
-            floor_ht = h // t
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(gray_window_h_min(t), FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
             for a in range(t):
                 fact.record()
-                if -(-h // (t + a + 1)) > floor_ht:
+                if ells[a] > h // t:
                     fact.fail((t, h, a))
 
 
-def _check_size_t_partition(fact: FactCheck, h_max: int, t_max: int) -> None:
+def _check_size_t_partition(fact: FactCheck) -> None:
     # Sets of size t or t+1 summing to h: the feasible part counts are exactly
     # the interval [ceil(h/(t+1)), floor(h/t)], every h >= t(t-1) admits a
     # partition, and the threshold is tight (h = t(t-1)-1 admits none).
     # Sporadic smaller h, such as multiples of t, are representable too, so
     # the threshold is a conductor, not a biconditional.
-    for t in range(1, t_max + 1):
+    for t in range(1, FACTS_T_MAX + 1):
         threshold = t * (t - 1)
-        for h in range(1, h_max + 1):
+        for h in range(1, FACTS_H_MAX + 1):
             fact.record()
             lo, hi = -(-h // (t + 1)), h // t
             feasible = {k for k in range(h + 1) if h - k * t >= 0 and k * (t + 1) - h >= 0}
@@ -414,49 +426,49 @@ def _check_size_t_partition(fact: FactCheck, h_max: int, t_max: int) -> None:
                 sizes = [t] * (k - larger) + [t + 1] * larger
                 if len(sizes) != k or sum(sizes) != h:
                     fact.fail(("construction", t, h, k))
-        if t >= 2 and threshold - 1 <= h_max:
+        if t >= 2 and threshold - 1 <= FACTS_H_MAX:
             fact.record()
             h = threshold - 1
             if any(h - k * t >= 0 and k * (t + 1) - h >= 0 for k in range(h + 1)):
                 fact.fail(("tightness", t, h))
 
 
-def _check_late_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) -> None:
+def _check_late_linearity(fact: FactCheck) -> None:
     # On p in [1/2, 1] the a=0 branch (1-p)/(ell0 - 1) is the smallest branch:
     # below p/(t+1) once h >= (t+1)^2 + 1, and below every a >= 1 branch once
     # h >= (t+1)(t+a) + 1.  Cross-multiplied into integer comparisons.
+    denom = FACTS_P_DENOMINATOR
     half = denom - denom // 2
-    for t in range(1, t_max + 1):
-        for h in range(2 * t + 2, h_max + 1):
-            l0 = -(-h // (t + 1))
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(2 * t + 2, FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
             if h >= (t + 1) * (t + 1) + 1:
                 fact.record(denom - half + 1)
                 for u in range(half, denom + 1):
-                    if (denom - u) * (t + 1) > u * (l0 - 1):
+                    if (denom - u) * (t + 1) > u * (ells[0] - 1):
                         fact.fail(("chromatic", t, h, u))
                         break
             for a in range(1, t + 1):
                 if h < (t + 1) * (t + a) + 1:
                     continue
-                la = -(-h // (t + a + 1))
                 fact.record(denom - half + 1)
                 for u in range(half, denom + 1):
-                    if a * (denom - u) + (la - 1) * u > (l0 - 1) * u:
+                    if a * (denom - u) + (ells[a] - 1) * u > (ells[0] - 1) * u:
                         fact.fail(("branch", t, h, a, u))
                         break
 
 
-def _check_early_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) -> None:
+def _check_early_linearity(fact: FactCheck) -> None:
     # On p in [0, p0] the chromatic branch p/(t+1) is the smallest branch:
     # (t+1-a)(1-p) >= (ell(a)-1) p for every a, checked on the rational grid
     # and exactly at p0 = 1/ell(t).
-    for t in range(1, t_max + 1):
-        for h in range(2 * t + 2, h_max + 1):
-            lt = -(-h // (2 * t + 1))
-            ells = [-(-h // (t + a + 1)) for a in range(t + 1)]
+    denom = FACTS_P_DENOMINATOR
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(2 * t + 2, FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
+            lt = ells[t]
             u_cap = denom // lt
-            for a in range(t + 1):
-                la = ells[a]
+            for a, la in enumerate(ells):
                 fact.record(u_cap + 2)
                 for u in range(u_cap + 1):
                     if (t + 1 - a) * (denom - u) < (la - 1) * u:
@@ -466,40 +478,31 @@ def _check_early_linearity(fact: FactCheck, h_max: int, t_max: int, denom: int) 
                     fact.fail(("p0", t, h, a))
 
 
-def _check_three_term_reduction(fact: FactCheck, h_max: int, t_values) -> None:
+def _check_three_term_reduction(fact: FactCheck) -> None:
     # (ell0 - ell(a)) (t - a) >= (ell(a) - ell(t)) a for the middle branches
-    for t in t_values:
-        for h in range(4 * t * t + 10 * t + 24, h_max + 1):
-            ells = [-(-h // (t + a + 1)) for a in range(t + 1)]
+    for t in THREE_TERM_T:
+        for h in range(three_term_h_min(t), FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
             for a in range(1, t):
                 fact.record()
                 if (ells[0] - ells[a]) * (t - a) < (ells[a] - ells[t]) * a:
                     fact.fail((t, h, a))
 
 
-def verify_facts(
-    *,
-    h_max: int = 400,
-    t_max: int = 8,
-    xy_max: int = 60,
-    p_denominator: int = 1000,
-) -> FactsReport:
+FACT_CHECKS = {
+    "floor_ceiling_duality": _check_floor_ceiling_duality,
+    "ceiling_floor_bound": _check_ceiling_floor_bound,
+    "size_t_partition": _check_size_t_partition,
+    "late_linearity": _check_late_linearity,
+    "early_linearity": _check_early_linearity,
+    "three_term_reduction": _check_three_term_reduction,
+}
+
+
+def verify_facts() -> FactsReport:
     """Sweep every supporting integer fact and report violations with witnesses."""
-    facts = {
-        name: FactCheck(name)
-        for name in (
-            "floor_ceiling_duality",
-            "ceiling_floor_bound",
-            "size_t_partition",
-            "late_linearity",
-            "early_linearity",
-            "three_term_reduction",
-        )
-    }
-    _check_floor_ceiling_duality(facts["floor_ceiling_duality"], h_max, xy_max)
-    _check_ceiling_floor_bound(facts["ceiling_floor_bound"], h_max, t_max)
-    _check_size_t_partition(facts["size_t_partition"], h_max, t_max)
-    _check_late_linearity(facts["late_linearity"], h_max, t_max, p_denominator)
-    _check_early_linearity(facts["early_linearity"], h_max, t_max, p_denominator)
-    _check_three_term_reduction(facts["three_term_reduction"], h_max, THREE_TERM_T)
+    facts = {}
+    for name, check in FACT_CHECKS.items():
+        facts[name] = FactCheck(name)
+        check(facts[name])
     return FactsReport(facts)

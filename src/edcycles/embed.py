@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .crg import BLACK, GRAY, WHITE, Crg, crg_from_pairs, k_rs
 from .errors import EmbedTimeoutError, ParameterDomainError, SizeExceededError
-from .graphs import Graph, PowerCycleParams
+from .graphs import Graph, PowerCycleParams, gray_window_h_min
 
 EMBED_GRAPH_BOUND = 40
 EMBED_CRG_BOUND = 14
@@ -126,7 +126,10 @@ def find_embedding(
     H may have at most EMBED_GRAPH_BOUND vertices and K at most
     EMBED_CRG_BOUND.  Any witness is re-verified against the pairwise
     conditions before being returned, so a true answer is self-certifying.
+    timeout is None (no deadline) or a positive number of seconds.
     """
+    if timeout is not None and not timeout > 0:  # also refuses nan
+        raise ParameterDomainError(f"timeout={timeout} must be None or positive")
     if H.n > EMBED_GRAPH_BOUND:
         raise SizeExceededError(f"graph has {H.n} > {EMBED_GRAPH_BOUND} vertices")
     if K.n > EMBED_CRG_BOUND:
@@ -292,10 +295,9 @@ def gray_cycle_embedding_report(
     h, t, a = params.h, params.t, white_count
     if not 0 <= a <= t - 1:
         raise ParameterDomainError(f"white_count={a} outside 0..{t - 1}")
-    if h < max(t * t - t, 2 * t + 2):
-        raise ParameterDomainError(
-            f"need h >= max(t^2 - t, 2t + 2) = {max(t * t - t, 2 * t + 2)}, got {h}"
-        )
+    h_min = gray_window_h_min(t)
+    if h < h_min:
+        raise ParameterDomainError(f"need h >= max(t^2 - t, 2t + 2) = {h_min}, got {h}")
     H = params.graph()
     lo, hi = params.ell(a), params.longest_gray_cycle
     report = GrayCycleReport(h, t, a)

@@ -25,9 +25,5 @@ class EmbedTimeoutError(EdcyclesError, RuntimeError):
     """Embedding search ran out of time budget; the verdict is unknown."""
 
 
-class TruncatedSpectrumError(EdcyclesError, ValueError):
-    """Clique spectrum was truncated; extreme points may be incomplete."""
-
-
 class NonConcavityError(EdcyclesError, RuntimeError):
     """A curve failed a three-point concavity probe; unimodal search is invalid."""

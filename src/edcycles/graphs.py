@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
 from typing import Iterable, NamedTuple
 
 from .errors import ParameterDomainError, SizeExceededError
@@ -118,7 +117,7 @@ class PowerCycleParams:
 
     @cached_property
     def ells(self) -> tuple[int, ...]:
-        return tuple(ceil(self.h / (self.t + a + 1)) for a in range(self.t + 1))
+        return tuple(-(-self.h // (self.t + a + 1)) for a in range(self.t + 1))
 
     def ell(self, a: int) -> int:
         if not 0 <= a <= self.t:
@@ -135,7 +134,7 @@ class PowerCycleParams:
         if self.h < self.t + 1:
             return self.h
         q, r = divmod(self.h, self.t + 1)
-        return self.t + ceil(r / q) + 1 if r else self.t + 1
+        return self.t + -(-r // q) + 1 if r else self.t + 1
 
     @property
     def longest_gray_cycle(self) -> int:
@@ -163,6 +162,11 @@ class PowerCycleParams:
             raise ParameterDomainError(
                 f"{what} needs h >= max(t(t+1), 4) = {bound}, got h={self.h}"
             )
+
+
+def gray_window_h_min(t: int) -> int:
+    """max(t(t-1), 2t+2): from this h on, ell(a) <= h // t for every a < t."""
+    return max(t * (t - 1), 2 * t + 2)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -308,7 +312,7 @@ def chromatic_overshoot_witness(params: PowerCycleParams) -> PartitionWitness:
     h, t = params.h, params.t
     params.require_gamma_range("witness construction")
     g = params.graph()
-    k = -(-h // (t + 1)) - 1
+    k = params.ell(0) - 1
     independent_sets = tuple(
         tuple(i * (t + 1) + j for i in range(k)) for j in range(t + 1)
     )

@@ -4,9 +4,10 @@ The clique spectrum of a forbidden graph H collects the pairs (r, s) for
 which V(H) cannot be partitioned into r independent sets and s cliques.  It
 is a staircase (a Ferrers diagram): shrinking either coordinate preserves
 membership.  clique_spectrum walks down that staircase once, as in
-saddleback search, refuting at most one pair per row.  The curve gamma(p)
-takes the minimum of the all-gray-CRG closed form over the spectrum; only
-the extreme points can attain it.
+saddleback search, refuting at most one pair per row, and stops at its
+first empty row, so every spectrum it returns is complete.  The curve
+gamma(p) takes the minimum of the all-gray-CRG closed form over the
+spectrum; only the extreme points can attain it.
 
 Everything here goes through the exhaustive partition oracle, never through
 closed-form shortcuts, so it can serve as the independent side of
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
 
-from .errors import ParameterDomainError, TruncatedSpectrumError
+from .errors import ParameterDomainError
 from .gfunction import g_krs
 from .graphs import Graph, PowerCycleParams, partitionable
 from .rationals import Number
@@ -27,56 +28,38 @@ from .rationals import Number
 
 @dataclass(frozen=True)
 class CliqueSpectrum:
-    """Materialized spectrum pairs with their extreme points.
-
-    truncated means the spectrum may extend past the requested bounds, in
-    which case the extreme points cannot be trusted downstream.
-    """
+    """Materialized spectrum pairs with their extreme points."""
 
     pairs: frozenset[tuple[int, int]]
     extreme_points: tuple[tuple[int, int], ...]
-    truncated: bool
 
     def to_json(self) -> dict:
         return {
             "pairs": sorted(list(p) for p in self.pairs),
             "extreme": [list(p) for p in self.extreme_points],
-            "truncated": self.truncated,
         }
 
 
-def clique_spectrum(
-    H: Graph,
-    r_max: int | None = None,
-    s_max: int | None = None,
-) -> CliqueSpectrum:
-    """Spectrum of Forb(H) up to the given bounds.
+def clique_spectrum(H: Graph) -> CliqueSpectrum:
+    """Complete spectrum of Forb(H), closed by its first empty row.
 
     Row r's boundary is the least s with an (r, s)-partition.  Boundaries
     only shrink as r grows, and row 0's is at most H.n (singleton cliques),
     so one staircase walk finds them all: start at s = H.n and, on each row,
     step s down while partitionable(H, r, s - 1) holds.  Each row costs one
-    refutation at most, the one that stops its walk.  With bounds omitted,
-    rows are explored until an empty row certifies closure on both axes, so
-    the result is never truncated.  Explicit bounds are honored and the
-    truncated flag reports whether anything was clipped.
+    refutation at most, the one that stops its walk.  The first empty row
+    ends the walk: no later row can hold a pair, so the spectrum is whole.
     """
-    for name, bound in (("r_max", r_max), ("s_max", s_max)):
-        if bound is not None and bound < 0:
-            raise ParameterDomainError(f"{name}={bound} must be nonnegative")
     boundaries = []
     s = H.n
     for r in count():
         while s > 0 and partitionable(H, r, s - 1):
             s -= 1
         boundaries.append(s)
-        if s == 0 or r == r_max:  # an empty row certifies closure
+        if s == 0:  # an empty row certifies closure
             break
-    s_cap = boundaries[0] if s_max is None else min(boundaries[0], s_max + 1)
-    # truncated: no empty row reached (more rows may exist), or clipped in s
-    truncated = boundaries[-1] > 0 or s_cap < boundaries[0]
     pairs = frozenset(
-        (r, s) for r, boundary in enumerate(boundaries) for s in range(min(boundary, s_cap))
+        (r, s) for r, boundary in enumerate(boundaries) for s in range(boundary)
     )
     extreme = tuple(
         sorted(
@@ -85,11 +68,11 @@ def clique_spectrum(
             if (r + 1, s) not in pairs and (r, s + 1) not in pairs
         )
     )
-    return CliqueSpectrum(pairs, extreme, truncated)
+    return CliqueSpectrum(pairs, extreme)
 
 
 def power_cycle_spectrum(params: PowerCycleParams) -> CliqueSpectrum:
-    """Complete spectrum of a cycle power, closed by its first empty row."""
+    """Spectrum of a cycle power."""
     return clique_spectrum(params.graph())
 
 
@@ -103,10 +86,6 @@ def gamma_with_branch(spec: CliqueSpectrum, p: Number) -> GammaPoint:
 
     Ties resolve to the lexicographically least (r, s).
     """
-    if spec.truncated:
-        raise TruncatedSpectrumError(
-            "spectrum was truncated; extreme points may be missing"
-        )
     if not spec.extreme_points:
         raise ParameterDomainError("empty spectrum has no gamma value")
     best = None

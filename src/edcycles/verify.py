@@ -4,7 +4,9 @@ Each suite returns a JSON-serializable report with an "ok" flag; nothing
 here asserts, so callers decide whether a failure is fatal.  The suites are
 deliberately cross-bred: search-based results are compared against closed
 forms, and exact optima against structural identities, so that any one
-implementation error breaks an equality somewhere.
+implementation error breaks an equality somewhere.  Each suite's sweep is
+fixed by module constants, here and in curves, so a report always covers
+the same cases and no caller can shrink a check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .gfunction import (
 from .graphs import PowerCycleParams
 from .spectrum import gamma, power_cycle_spectrum
 
-DEFAULT_SEED = 20260810
+CORPUS_SEED = 20260810
+CORPUS_COUNT = 200  # CRGs in the weights and components corpus
 
 GRAY_CYCLE_CASES = (
     (1, 8, (0,)),
@@ -175,7 +178,7 @@ def gray_degree_bound_tally(K: Crg, p: Fraction, gv: GValue) -> tuple[int, list]
     return instances, violations
 
 
-def weight_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
+def weight_suite() -> dict:
     """p-core certification plus weight identities over the random corpus.
 
     is_p_core itself raises if a certified core breaks the structural law
@@ -184,7 +187,7 @@ def weight_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
     are tallied separately; too few asserted instances fails the suite, so
     the corpus must keep producing gray-dominated CRGs.
     """
-    corpus = standard_corpus(seed, count=count)
+    corpus = standard_corpus(CORPUS_SEED, count=CORPUS_COUNT)
     asserted = 0
     vacuous = 0
     degree_instances = 0
@@ -218,10 +221,10 @@ def weight_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
     }
 
 
-def component_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
+def component_suite() -> dict:
     """Reciprocal-sum identity: the jointly solved optimum of a CRG must equal
     the recombination of its independently solved components."""
-    corpus = standard_corpus(seed, count=count)
+    corpus = standard_corpus(CORPUS_SEED, count=CORPUS_COUNT)
     failures = []
     for index, K in enumerate(corpus):
         parts = component_sets(K)
@@ -238,40 +241,22 @@ def component_suite(seed: int = DEFAULT_SEED, count: int = 200) -> dict:
 SUITE_NAMES = ("facts", "gray_cycles", "gamma_cross", "weights", "components")
 
 
-def run_suites(
-    names,
-    *,
-    seed: int = DEFAULT_SEED,
-    h_max: int = 400,
-    t_max: int = 8,
-    xy_max: int = 60,
-    p_denominator: int = 1000,
-    corpus_count: int = 200,
-) -> dict:
+def run_suites(names) -> dict:
     """Run the named suites in SUITE_NAMES order, each section ending with
     its elapsed_s; "ok" when every one passes.
 
-    Every sweep size must be at least 1: an empty sweep checks nothing, and
-    a suite that checked nothing must not report a pass.
+    No name, or an unknown one, is refused: a run that checked nothing
+    must not report a pass.
     """
-    sizes = {
-        "h_max": h_max,
-        "t_max": t_max,
-        "xy_max": xy_max,
-        "p_denominator": p_denominator,
-        "corpus_count": corpus_count,
-    }
-    for name, size in sizes.items():
-        if size < 1:
-            raise ParameterDomainError(f"{name}={size}: every sweep size must be at least 1")
+    names = set(names)
+    if not names or not names <= set(SUITE_NAMES):
+        raise ParameterDomainError(f"suites {sorted(names)}: name one or more of {SUITE_NAMES}")
     runners = {
-        "facts": lambda: curves.verify_facts(
-            h_max=h_max, t_max=t_max, xy_max=xy_max, p_denominator=p_denominator
-        ).to_json(),
+        "facts": lambda: curves.verify_facts().to_json(),
         "gray_cycles": gray_cycle_suite,
         "gamma_cross": gamma_cross_suite,
-        "weights": lambda: weight_suite(seed=seed, count=corpus_count),
-        "components": lambda: component_suite(seed=seed, count=corpus_count),
+        "weights": weight_suite,
+        "components": component_suite,
     }
     report = {}
     for name in SUITE_NAMES:

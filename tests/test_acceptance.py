@@ -70,7 +70,7 @@ def test_criterion_1_all_gray_closed_form():
 
 def test_criterion_2_component_recombination():
     with Timer() as timer:
-        suite = verify.component_suite(seed=verify.DEFAULT_SEED, count=200)
+        suite = verify.component_suite()
     passed = suite["ok"] and timer.elapsed < 120.0
     report(2, "component recombination", passed, timer.elapsed)
     assert suite["ok"], suite["failures"][:5]
@@ -123,7 +123,7 @@ def test_criterion_5_known_anchors():
         ok = True
         for h in (3, 4):
             edges = [(i, j) for i in range(h) for j in range(i + 1, h)]
-            spec = clique_spectrum(Graph.from_edges(h, edges), r_max=8, s_max=8)
+            spec = clique_spectrum(Graph.from_edges(h, edges))
             for k in range(1, 10):
                 p = Fraction(k, 10)
                 ok = ok and gamma(spec, p) == p / (h - 1)
@@ -162,7 +162,7 @@ def test_criterion_7_irrational_maximum():
 
 def test_criterion_8_facts_sweep():
     with Timer() as timer:
-        facts = verify_facts(h_max=400, t_max=8, xy_max=60, p_denominator=1000)
+        facts = verify_facts()
     passed = facts.ok and timer.elapsed < 120.0
     report(8, "facts sweep", passed, timer.elapsed)
     for name, fact in facts.facts.items():
@@ -172,7 +172,7 @@ def test_criterion_8_facts_sweep():
 
 def test_criterion_9_weight_propositions():
     with Timer() as timer:
-        suite = verify.weight_suite(seed=verify.DEFAULT_SEED, count=200)
+        suite = verify.weight_suite()
     report(9, "weight propositions", suite["ok"], timer.elapsed)
     print(
         f"              asserted={suite['asserted']} vacuous={suite['vacuous']}"

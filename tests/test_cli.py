@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from edcycles import curves, verify
 from edcycles.cli import main
 from edcycles.crg import crg_to_json, k_rs
 from edcycles.embed import gray_cycle_crg
+from edcycles.errors import ParameterDomainError
 from edcycles.graphs import graph_to_json, power_cycle
 
 
@@ -94,7 +96,7 @@ def test_spectrum_power_cycle(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["extreme"] == [[0, 2], [1, 1], [2, 0]]
-    assert blob["truncated"] is False
+    assert set(blob) == {"pairs", "extreme"}
 
 
 def test_spectrum_from_graph_file(capsys, tmp_path):
@@ -117,7 +119,7 @@ def test_spectrum_malformed_graph_file_exits_2(capsys, tmp_path):
 def test_g_exact_from_crg_file(capsys, tmp_path):
     path = tmp_path / "k11.json"
     path.write_text(json.dumps(crg_to_json(k_rs(1, 1))))
-    code, out, _ = run(capsys, "g", "--crg", str(path), "--p", "1/3", "--mode", "exact")
+    code, out, _ = run(capsys, "g", "--crg", str(path), "--p", "1/3")
     assert code == 0
     blob = json.loads(out)
     assert blob["g"] == "2/9"
@@ -133,7 +135,7 @@ def test_g_crg_file_without_vertices_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "ParameterDomainError"
 
 
-@pytest.mark.parametrize("flags", [["--p", "1/2"], ["--p", "0"], ["--p", "1/2", "--numeric"]])
+@pytest.mark.parametrize("flags", [["--p", "1/2"], ["--p", "0"], ["--p", "1"]])
 def test_g_empty_crg_exits_2(capsys, tmp_path, flags):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"vertices": []}))
@@ -145,12 +147,19 @@ def test_g_empty_crg_exits_2(capsys, tmp_path, flags):
     }
 
 
-def test_g_krs_shortcut_and_numeric(capsys):
-    code, out, _ = run(capsys, "g", "--krs", "1", "1", "--p", "1/3", "--numeric")
+def test_g_krs_shortcut_is_exact(capsys):
+    code, out, _ = run(capsys, "g", "--krs", "1", "1", "--p", "1/3")
     assert code == 0
     blob = json.loads(out)
-    assert blob["mode"] == "numeric"
-    assert abs(blob["g"] - 2 / 9) < 1e-9
+    assert blob["mode"] == "exact"
+    assert blob["g"] == "2/9"
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--exact", "--numeric"])
+def test_g_has_no_mode_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["g", "--krs", "1", "1", "--p", "1/3", flag])
+    assert exc.value.code == 2
 
 
 def test_g_endpoint(capsys):
@@ -163,10 +172,11 @@ def test_g_endpoint(capsys):
 
 @pytest.mark.parametrize("flag", ["--r-max", "--s-max"])
 def test_spectrum_negative_bound_exits_2(capsys, flag):
-    code, out, err = run(capsys, "spectrum", "--h", "8", "--t", "1", flag, "-1")
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "ParameterDomainError"
+    # spectra are always complete, so the bound flags no longer exist
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--h", "8", "--t", "1", flag, "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_embed_false_with_triangle(capsys, tmp_path):
@@ -175,6 +185,17 @@ def test_embed_false_with_triangle(capsys, tmp_path):
     code, out, _ = run(capsys, "embed", "--h", "8", "--t", "1", "--crg", str(path))
     assert code == 0
     assert json.loads(out) == {"embeds": False}
+
+
+@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+def test_embed_timeout_must_be_positive(capsys, tmp_path, timeout):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(crg_to_json(gray_cycle_crg(0, 3))))
+    argv = ("embed", "--h", "8", "--t", "1", "--crg", str(path), "--timeout", timeout)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
 
 
 def test_embed_true_carries_witness(capsys, tmp_path):
@@ -224,17 +245,13 @@ def test_curve_golden_stdout(capsys):
 
 
 def test_verify_facts_suite_exit_zero(capsys):
-    code, out, _ = run(
-        capsys,
-        "verify", "--suite", "facts",
-        "--h-max", "60", "--t-max", "3", "--xy-max", "15", "--p-denominator", "50",
-    )
+    code, out, _ = run(capsys, "verify", "--suite", "facts")
     assert code == 0
     assert json.loads(out)["ok"] is True
 
 
 def test_verify_weights_small(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "weights", "--count", "40")
+    code, out, _ = run(capsys, "verify", "--suite", "weights")
     assert code == 0
     blob = json.loads(out)
     assert blob["weights"]["asserted"] >= 10
@@ -253,10 +270,17 @@ def test_verify_weights_small(capsys):
     ],
 )
 def test_verify_empty_sweep_exits_2(capsys, suite, flag, value):
-    code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "ParameterDomainError"
+    # the sweeps are fixed, so no flag can shrink one, let alone empty it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("names", [[], ["bogus"], ["facts", "bogus"]])
+def test_run_suites_refuses_empty_or_unknown_names(names):
+    with pytest.raises(ParameterDomainError):
+        verify.run_suites(names)
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
@@ -268,15 +292,14 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_verify_facts_unreached_by_sweep_fail(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "facts", "--h-max", "1")
+def test_verify_facts_unreached_by_sweep_fail(capsys, monkeypatch):
+    # a fact whose sweep never reaches a case must fail the verify run
+    monkeypatch.setattr(curves, "FACT_CHECKS", {"unreached": lambda fact: None})
+    code, out, _ = run(capsys, "verify", "--suite", "facts")
     assert code == 1
-    facts = json.loads(out)["facts"]["facts"]
-    unreached = {name for name, fact in facts.items() if fact["checked"] == 0}
-    assert unreached == {
-        "ceiling_floor_bound", "late_linearity", "early_linearity", "three_term_reduction"
-    }
-    assert all(facts[name]["passed"] is False for name in unreached)
+    fact = json.loads(out)["facts"]["facts"]["unreached"]
+    assert fact["checked"] == 0
+    assert fact["passed"] is False
 
 
 @pytest.mark.parametrize("command", [

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from edcycles.curves import (
+    FactCheck,
     black_part_g_bound,
     branch_crossings,
     branches,
@@ -21,7 +22,6 @@ from edcycles.curves import (
     gamma_closed_with_branch,
     gamma_three_term,
     max_point,
-    verify_facts,
 )
 from edcycles.errors import NonConcavityError, ParameterDomainError
 from edcycles.graphs import PowerCycleParams
@@ -309,11 +309,13 @@ def test_linearity_windows():
         assert gamma_closed(params, p) == (1 - p) / (params.ell(0) - 1)
 
 
-def test_verify_facts_small_sweep_passes():
-    report = verify_facts(h_max=80, t_max=4, xy_max=25, p_denominator=100)
-    assert report.ok
-    for name, fact in report.facts.items():
-        assert fact.checked > 0, name
+def test_fact_checked_zero_times_does_not_pass():
+    fact = FactCheck("unreached")
+    assert not fact.passed
+    fact.record()
+    assert fact.passed
+    fact.fail(("witness",))
+    assert not fact.passed
 
 
 def test_verify_facts_two_part_example():

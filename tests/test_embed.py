@@ -121,9 +121,16 @@ def test_timeout_raises_instead_of_answering():
 
 
 def test_timeout_reports_nodes_searched():
-    # the clock is read every 1024 nodes, so a zero budget stops at the first read
-    with pytest.raises(EmbedTimeoutError, match=r"0 s after 1024 nodes"):
-        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=0)
+    # the clock is read every 1024 nodes, so a 1 ns budget stops at the first read
+    with pytest.raises(EmbedTimeoutError, match=r"1e-09 s after 1024 nodes"):
+        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), 0, 0.0, -1.0, float("-inf")])
+def test_timeout_must_be_none_or_positive(timeout):
+    # monotonic() > nan is never true, so a nan budget would never expire
+    with pytest.raises(ParameterDomainError):
+        find_embedding(power_cycle(8, 1), gray_cycle_crg(0, 4), timeout=timeout)
 
 
 def test_gray_cycle_crg_shape():

@@ -7,9 +7,9 @@ import pytest
 from test_graphs import brute_partitionable
 
 from edcycles import spectrum
-from edcycles.errors import ParameterDomainError, TruncatedSpectrumError
+from edcycles.errors import ParameterDomainError
 from edcycles.gfunction import g_krs
-from edcycles.graphs import Graph, PowerCycleParams, partitionable, power_cycle
+from edcycles.graphs import Graph, PowerCycleParams, partitionable
 from edcycles.spectrum import (
     clique_spectrum,
     gamma,
@@ -32,7 +32,6 @@ def random_graph(rng, n, density=0.5):
 def test_c5_extreme_points():
     spec = power_cycle_spectrum(PowerCycleParams(5, 1))
     assert spec.extreme_points == ((0, 2), (1, 1), (2, 0))
-    assert not spec.truncated
 
 
 def test_c13_2_extreme_points():
@@ -43,7 +42,7 @@ def test_c13_2_extreme_points():
 def test_complete_graph_anchors():
     # forbidding a clique pins the curve to p/(h-1)
     for h in (3, 4):
-        spec = clique_spectrum(complete_graph(h), r_max=8, s_max=8)
+        spec = clique_spectrum(complete_graph(h))
         assert spec.extreme_points == ((h - 1, 0),)
         for p in (Fraction(1, 4), Fraction(2, 3)):
             assert gamma(spec, p) == p / (h - 1)
@@ -62,10 +61,9 @@ def test_ferrers_property():
 
 
 def test_bounded_spectra_match_brute_force():
-    # pairs are the in-bounds (r, s) without a partition; truncated says that
-    # row r_max is not yet empty, or that row 0 runs past s_max
+    # the spectrum is exactly the set of (r, s) without a partition; no pair
+    # lies past r or s = n, since n singleton parts of either kind partition
     rng = random.Random(61)
-    bounds = (None, 0, 1, 2, 3)
     for _ in range(12):
         n = rng.randint(0, 6)
         H = random_graph(rng, n)
@@ -75,18 +73,7 @@ def test_bounded_spectra_match_brute_force():
             for s in range(n + 1)
             if not brute_partitionable(H, r, s)
         }
-        for r_max in bounds:
-            for s_max in bounds:
-                spec = clique_spectrum(H, r_max, s_max)
-                assert spec.pairs == {
-                    (r, s)
-                    for r, s in failing
-                    if (r_max is None or r <= r_max) and (s_max is None or s <= s_max)
-                }, (H.edges, r_max, s_max)
-                assert spec.truncated == (
-                    (r_max is not None and (r_max, 0) in failing)
-                    or (s_max is not None and (0, s_max + 1) in failing)
-                ), (H.edges, r_max, s_max)
+        assert clique_spectrum(H).pairs == failing, H.edges
 
 
 @pytest.mark.parametrize("h, t", [(13, 2), (21, 3), (24, 3)])
@@ -167,22 +154,3 @@ def test_gamma_branch_switches():
     # branch switches from the (1, ell(1)-1) pair to the (0, ell(0)-1) pair
     assert gamma_with_branch(spec, Fraction(1, 4)).branch == (1, 2)
     assert gamma_with_branch(spec, Fraction(3, 4)).branch == (0, 3)
-
-
-def test_truncated_spectrum_refuses_gamma():
-    spec = clique_spectrum(power_cycle(8, 1), r_max=1, s_max=1)
-    assert spec.truncated
-    with pytest.raises(TruncatedSpectrumError):
-        gamma(spec, Fraction(1, 2))
-
-
-def test_explicit_bounds_not_truncated_when_wide():
-    spec = clique_spectrum(power_cycle(5, 1), r_max=4, s_max=4)
-    assert not spec.truncated
-    assert spec.extreme_points == ((0, 2), (1, 1), (2, 0))
-
-
-@pytest.mark.parametrize("bounds", [{"r_max": -1}, {"s_max": -1}, {"r_max": 2, "s_max": -3}])
-def test_negative_bounds_rejected(bounds):
-    with pytest.raises(ParameterDomainError):
-        clique_spectrum(power_cycle(8, 1), **bounds)
