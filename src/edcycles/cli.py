@@ -4,8 +4,8 @@ Subcommands: curve, spectrum, g, embed, maxpoint, verify.  curve writes CSV,
 or JSON with --format json; the others write JSON (rationals serialized as
 "num/den" strings).  spectrum always prints the complete spectrum, g always
 answers exactly, and verify always runs each suite's full fixed sweep.
-Errors leave as machine-readable JSON on stderr with exit code 2, and
-verify exits 1 when any suite fails.
+Errors, argument errors included, leave as machine-readable JSON on stderr
+with exit code 2, and verify exits 1 when any suite fails.
 """
 
 from __future__ import annotations
@@ -30,6 +30,13 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Argument errors raise, so they leave through main's JSON error path."""
+
+    def error(self, message):
+        raise ParameterDomainError(message)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -145,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="edcycles",
         description="Edit distance curves, spectra, and verification for forbidden cycle powers",
     )
@@ -204,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (EdcyclesError, OSError, json.JSONDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

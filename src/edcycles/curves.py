@@ -13,7 +13,9 @@ Every branch value comes from gfunction.g_krs, the g-function of the
 all-gray CRG K(a, c), so every closed form is an exact Fraction for every p
 in [0, 1]; a float p is converted to its exact binary value first.  The fact
 sweeps below clear denominators so that every comparison is an integer
-comparison.
+comparison.  The two linearity facts compare branches over a p-interval;
+cross-multiplied, each comparison is linear in p, so the sweep tests it at
+the two ends of the interval, which decides it at every p between.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
 CONCAVITY_SAMPLES = 101
 THREE_TERM_T = (2, 3)  # powers t whose three-term reduction the facts sweep checks
-# the facts sweep's fixed ranges: h, t, x and y from 1, p on a 1/denominator grid
+# the facts sweep's fixed ranges: h, t, x and y from 1
 FACTS_H_MAX = 400
 FACTS_T_MAX = 8
 FACTS_XY_MAX = 60
-FACTS_P_DENOMINATOR = 1000
 
 
 def ed_h_min(t: int) -> int:
@@ -109,8 +110,8 @@ def ed_cycles_closed(h: int, p: Number) -> Fraction | None:
     Odd h: min of p/2 and the two rational branches, for all p.  Even h: the
     two rational branches, for p at least 1/ceil(h/3).
     """
-    if h < 5:
-        raise ParameterDomainError(f"cycle closed form needs h >= 5, got {h}")
+    if h < ed_h_min(1):
+        raise ParameterDomainError(f"cycle closed form needs h >= {ed_h_min(1)}, got {h}")
     p = to_probability(p)
     params = PowerCycleParams(h, 1)
     l0, l1 = params.ell(0), params.ell(1)
@@ -214,11 +215,7 @@ class CurveSample:
         }
 
 
-def curve_samples(
-    params: PowerCycleParams, grid: Sequence[Number] | None = None
-) -> list[CurveSample]:
-    if grid is None:
-        grid = default_p_grid(params)
+def curve_samples(params: PowerCycleParams, grid: Sequence[Number]) -> list[CurveSample]:
     h_ok = params.h >= ed_h_min(params.t)
     samples = []
     for p in grid:
@@ -346,8 +343,8 @@ class FactCheck:
         """A fact passes when it was checked at least once and never failed."""
         return self.checked > 0 and self.failure_count == 0
 
-    def record(self, count: int = 1) -> None:
-        self.checked += count
+    def record(self) -> None:
+        self.checked += 1
 
     def fail(self, witness: tuple) -> None:
         self.failure_count += 1
@@ -435,47 +432,35 @@ def _check_size_t_partition(fact: FactCheck) -> None:
 
 def _check_late_linearity(fact: FactCheck) -> None:
     # On p in [1/2, 1] the a=0 branch (1-p)/(ell0 - 1) is the smallest branch:
-    # below p/(t+1) once h >= (t+1)^2 + 1, and below every a >= 1 branch once
-    # h >= (t+1)(t+a) + 1.  Cross-multiplied into integer comparisons.
-    denom = FACTS_P_DENOMINATOR
-    half = denom - denom // 2
+    # below the chromatic branch (a, c) = (t+1, 0) once h >= (t+1)^2 + 1, and
+    # below every branch a >= 1 once h >= (t+1)(t+a) + 1.  Cross-multiplied,
+    # a(1-p) + c p <= (ell0 - 1) p is linear in p, so its two ends decide it.
     for t in range(1, FACTS_T_MAX + 1):
         for h in range(2 * t + 2, FACTS_H_MAX + 1):
             ells = PowerCycleParams(h, t).ells
-            if h >= (t + 1) * (t + 1) + 1:
-                fact.record(denom - half + 1)
-                for u in range(half, denom + 1):
-                    if (denom - u) * (t + 1) > u * (ells[0] - 1):
-                        fact.fail(("chromatic", t, h, u))
-                        break
-            for a in range(1, t + 1):
-                if h < (t + 1) * (t + a) + 1:
+            rivals = [(t + 1, 0, (t + 1) ** 2 + 1)]
+            rivals += [(a, ells[a] - 1, (t + 1) * (t + a) + 1) for a in range(1, t + 1)]
+            for a, c, h_min in rivals:
+                if h < h_min:
                     continue
-                fact.record(denom - half + 1)
-                for u in range(half, denom + 1):
-                    if a * (denom - u) + (ells[a] - 1) * u > (ells[0] - 1) * u:
-                        fact.fail(("branch", t, h, a, u))
-                        break
+                for m, n in ((1, 2), (1, 1)):  # p = m/n
+                    fact.record()
+                    if a * (n - m) + c * m > (ells[0] - 1) * m:
+                        fact.fail((t, h, a, str(Fraction(m, n))))
 
 
 def _check_early_linearity(fact: FactCheck) -> None:
     # On p in [0, p0] the chromatic branch p/(t+1) is the smallest branch:
-    # (t+1-a)(1-p) >= (ell(a)-1) p for every a, checked on the rational grid
-    # and exactly at p0 = 1/ell(t).
-    denom = FACTS_P_DENOMINATOR
+    # (t+1-a)(1-p) >= (ell(a)-1) p for every a.  The left side falls and the
+    # right side rises with p, so the ends p = 0 and p0 = 1/ell(t) decide it.
     for t in range(1, FACTS_T_MAX + 1):
         for h in range(2 * t + 2, FACTS_H_MAX + 1):
             ells = PowerCycleParams(h, t).ells
-            lt = ells[t]
-            u_cap = denom // lt
-            for a, la in enumerate(ells):
-                fact.record(u_cap + 2)
-                for u in range(u_cap + 1):
-                    if (t + 1 - a) * (denom - u) < (la - 1) * u:
-                        fact.fail(("grid", t, h, a, u))
-                        break
-                if (t + 1 - a) * (lt - 1) < (la - 1):
-                    fact.fail(("p0", t, h, a))
+            for m, n in ((0, 1), (1, ells[t])):  # p = m/n
+                for a, la in enumerate(ells):
+                    fact.record()
+                    if (t + 1 - a) * (n - m) < (la - 1) * m:
+                        fact.fail((t, h, a, str(Fraction(m, n))))
 
 
 def _check_three_term_reduction(fact: FactCheck) -> None:

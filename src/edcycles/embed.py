@@ -141,7 +141,7 @@ def find_embedding(
     order = _search_order(H)
     n = H.n
     adj = H.adjacency_masks
-    # adjacency between order positions: bit d of later[d2] says order[d2]~order[d]
+    # adjacency between order positions: adjacent_positions[d2][d] is order[d2] ~ order[d]
     adjacent_positions = [
         [bool(adj[order[d2]] >> order[d] & 1) for d in range(n)] for d2 in range(n)
     ]

@@ -213,6 +213,7 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
             f"partitionable: {g.n} vertices exceeds exact-search bound {EXACT_SEARCH_BOUND}"
         )
     n = g.n
+    r, s = min(r, n), min(s, n)  # parts beyond n stay empty
     adj = g.adjacency_masks
     ind_masks = [0] * r
     clq_masks = [0] * s

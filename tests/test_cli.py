@@ -22,6 +22,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_argument_error(capsys, *argv):
+    """An argument error exits 2 with one JSON object on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_curve_row_count(capsys, tmp_path):
     code, out, err = run(
         capsys, "curve", "--h", "8", "--t", "1", "--samples", "101", "--no-search"
@@ -156,10 +164,8 @@ def test_g_krs_shortcut_is_exact(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--mode", "--exact", "--numeric"])
-def test_g_has_no_mode_flags(flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["g", "--krs", "1", "1", "--p", "1/3", flag])
-    assert exc.value.code == 2
+def test_g_has_no_mode_flags(capsys, flag):
+    assert_argument_error(capsys, "g", "--krs", "1", "1", "--p", "1/3", flag)
 
 
 def test_g_endpoint(capsys):
@@ -173,10 +179,7 @@ def test_g_endpoint(capsys):
 @pytest.mark.parametrize("flag", ["--r-max", "--s-max"])
 def test_spectrum_negative_bound_exits_2(capsys, flag):
     # spectra are always complete, so the bound flags no longer exist
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--h", "8", "--t", "1", flag, "-1"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert_argument_error(capsys, "spectrum", "--h", "8", "--t", "1", flag, "-1")
 
 
 def test_embed_false_with_triangle(capsys, tmp_path):
@@ -271,16 +274,22 @@ def test_verify_weights_small(capsys):
 )
 def test_verify_empty_sweep_exits_2(capsys, suite, flag, value):
     # the sweeps are fixed, so no flag can shrink one, let alone empty it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", suite, flag, value])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert_argument_error(capsys, "verify", "--suite", suite, flag, value)
 
 
 @pytest.mark.parametrize("names", [[], ["bogus"], ["facts", "bogus"]])
 def test_run_suites_refuses_empty_or_unknown_names(names):
     with pytest.raises(ParameterDomainError):
         verify.run_suites(names)
+
+
+def test_verify_gamma_cross_suite_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "gamma-cross")
+    assert code == 0
+    section = json.loads(out)["gamma_cross"]
+    assert section["ok"] is True
+    assert len(section["pairs"]) == 27
+    assert 3 in {pair["t"] for pair in section["pairs"]}
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
@@ -308,9 +317,27 @@ def test_verify_facts_unreached_by_sweep_fail(capsys, monkeypatch):
     ["verify", "--suite", "facts"],
 ])
 def test_format_flag_only_on_curve(capsys, command):
+    assert_argument_error(capsys, *command, "--format", "csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["g", "--krs", "1", "1", "--p", "1/0"],
+    ["g", "--krs", "1", "1", "--p", "nan"],
+    ["curve", "--h", "x", "--t", "1"],
+    ["curve", "--t", "1"],
+    ["maxpoint", "--h", "7", "--t", "1", "--bogus"],
+    ["verify", "--suite", "bogus"],
+    [],
+])
+def test_argument_errors_are_json(capsys, argv):
+    assert_argument_error(capsys, *argv)
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--format", "csv"])
-    assert exc.value.code == 2
+        main(["g", "--help"])
+    assert exc.value.code == 0
+    assert "--krs" in capsys.readouterr().out
 
 
 def test_output_file(capsys, tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from edcycles.curves import (
+    FACT_CHECKS,
     FactCheck,
     black_part_g_bound,
     branch_crossings,
@@ -338,3 +339,21 @@ def test_late_linearity_boundary_is_tight(t):
     assert params.ell(0) == t + 2
     p = Fraction(1, 2)
     assert (1 - p) / (params.ell(0) - 1) == p / (t + 1)
+
+
+def _floor_ells(params):
+    return tuple(params.h // (params.t + a + 1) for a in range(params.t + 1))
+
+
+def _ell1_plus_one(params):
+    return tuple(-(-params.h // (params.t + a + 1)) + (a == 1) for a in range(params.t + 1))
+
+
+@pytest.mark.parametrize("mutant", [_floor_ells, _ell1_plus_one])
+def test_linearity_facts_catch_mutated_ells(monkeypatch, mutant):
+    # a wrong ell must break a linearity fact somewhere in the fixed sweep
+    monkeypatch.setattr(PowerCycleParams, "ells", property(mutant))
+    facts = [FactCheck(name) for name in ("late_linearity", "early_linearity")]
+    for fact in facts:
+        FACT_CHECKS[fact.name](fact)
+    assert any(fact.failure_count for fact in facts)

@@ -131,6 +131,14 @@ def test_partitionable_c5_examples():
     assert partitionable(c5, 5, 0)
 
 
+def test_partitionable_clamps_part_counts_to_vertices():
+    # parts beyond n stay empty, so a huge count costs no more than n parts
+    c5 = power_cycle(5, 1)
+    assert partitionable(c5, 10**9, 10**9)
+    assert partitionable(c5, 0, 10**9)
+    assert partitionable(c5, 10**9, 0)
+
+
 def test_partitionable_degenerate_cases():
     empty = Graph.from_edges(0, [])
     assert partitionable(empty, 0, 0)
