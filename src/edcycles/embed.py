@@ -9,6 +9,18 @@ The search assigns H-vertices one at a time in a connectivity-friendly order
 and keeps, for each unassigned vertex, a bitmask domain of still-feasible
 images.  Assigning a vertex intersects every later domain with the row of a
 precomputed pair-feasibility table; an emptied domain prunes immediately.
+
+Each call also caches the search states that failed.  Once a vertex has no
+H-neighbour left to place it is dead: it filters every later domain by the
+same non-edge row of its image, so only the set of dead images matters, not
+which vertex carries which.  The vertices still awaiting a neighbour are
+live, and their images count one by one.  The images in use and the twin
+classes' next fresh vertices follow from those two, so the pair (live
+images in order, set of dead images) fixes everything below the node.  A
+node whose pair already failed at its depth is refused without a search.
+That is why refuting a cycle power, whose vertices die soon after their last
+band neighbour is placed, walks over few distinct states.
+
 The relation is NP-hard in general, so calls carry an explicit time budget
 and raise instead of guessing when it runs out.
 """
@@ -126,7 +138,26 @@ def find_embedding(
     H may have at most EMBED_GRAPH_BOUND vertices and K at most
     EMBED_CRG_BOUND.  Any witness is re-verified against the pairwise
     conditions before being returned, so a true answer is self-certifying.
-    timeout is None (no deadline) or a positive number of seconds.
+    timeout is None (no deadline) or a positive number of seconds; the
+    timeout error reports the nodes searched and how many the failed-state
+    cache refused.
+
+    Failed states are cached per call and dropped when it returns.  At depth
+    D of the search order, a placed position is live if some position >= D
+    is its H-neighbour, and dead otherwise.  The rest of the search reads
+    the placed images only through the later domains, used and fresh.  A
+    dead image u enters every later domain as non_ok[u], so the dead images
+    count as a set; used is the union of all images, and fresh follows from
+    used because the twin-class rule fills each class in order.  So the
+    tuple of live images and the set of dead images fix the whole subtree,
+    and a state that failed once fails again: refusing it changes the work,
+    never the answer or the witness.  The key packs both into one int, the
+    dead-image mask followed by K.n.bit_length() bits per live image; the
+    live positions are fixed by D, so the int determines the pair.  A node
+    forms its key just before its first child, so a node with no child is
+    neither keyed nor recorded.  Depths with no dead position keep no
+    cache, since there the key is the whole prefix, which the search meets
+    once.
     """
     if timeout is not None and not timeout > 0:  # also refuses nan
         raise ParameterDomainError(f"timeout={timeout} must be None or positive")
@@ -159,12 +190,31 @@ def find_embedding(
         for pos, v in enumerate(members[:-1]):
             successor[v] = members[pos + 1]
 
+    # Failed-state cache.  last[d] is the last position adjacent to position
+    # d, or d itself; d is live at depth D > d while last[d] >= D and dead
+    # after.  live[D] lists the live positions at depth D and dies[D] those
+    # that turn dead on reaching it.
+    last = list(range(n))
+    for d2 in range(n):
+        for d in range(d2):
+            if adjacent_positions[d2][d]:
+                last[d] = d2
+    live = [[d for d in range(depth) if last[d] >= depth] for depth in range(n)]
+    dies = [[] for _ in range(n + 1)]
+    for d in range(n):
+        dies[last[d] + 1].append(d)
+    failed = [set() if len(live[depth]) < depth else None for depth in range(n)]
+    width = K.n.bit_length()
+
     assignment = [0] * n
     deadline = None if timeout is None else time.monotonic() + timeout
     nodes = 0
+    refused = 0
 
-    def extend(depth: int, domains: list[int], used: int, fresh: int) -> bool:
-        nonlocal nodes
+    def extend(depth: int, domains: list[int], used: int, fresh: int, dead: int) -> bool:
+        nonlocal nodes, refused
+        seen = failed[depth]
+        key = None
         candidates = domains[depth] & (used | fresh)
         while candidates:
             low = candidates & -candidates
@@ -174,7 +224,8 @@ def find_embedding(
             if deadline is not None and nodes & _TIME_CHECK_MASK == 0:
                 if time.monotonic() > deadline:
                     raise EmbedTimeoutError(
-                        f"embedding search exceeded {timeout} s after {nodes} nodes "
+                        f"embedding search exceeded {timeout} s after {nodes} nodes, "
+                        f"{refused} refused by the failed-state cache "
                         f"({H.n}-vertex graph into {K.n}-vertex CRG)"
                     )
             assignment[depth] = u
@@ -199,11 +250,25 @@ def find_embedding(
                     ok = False
                     break
                 new_domains[d] = filtered
-            if ok and extend(depth + 1, new_domains, new_used, new_fresh):
+            if not ok:
+                continue
+            if key is None and seen is not None:
+                key = dead
+                for d in live[depth]:
+                    key = key << width | assignment[d]
+                if key in seen:
+                    refused += 1
+                    return False
+            new_dead = dead
+            for d in dies[depth + 1]:
+                new_dead |= 1 << assignment[d]
+            if extend(depth + 1, new_domains, new_used, new_fresh, new_dead):
                 return True
+        if key is not None:
+            seen.add(key)
         return False
 
-    if extend(0, [full] * n, 0, first_fresh_mask):
+    if extend(0, [full] * n, 0, first_fresh_mask, 0):
         phi = [0] * n
         for d, v in enumerate(order):
             phi[v] = assignment[d]

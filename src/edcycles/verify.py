@@ -30,7 +30,9 @@ from .spectrum import gamma, power_cycle_spectrum
 CORPUS_SEED = 20260810
 CORPUS_COUNT = 200  # CRGs in the weights and components corpus
 
-GRAY_CYCLE_CASES = ((1, 8), (1, 9), (2, 13), (3, 25))  # (t, h), white counts 0..t-1
+# (t, h), white counts 0..t-1.  (2, 15) and (3, 28) are the least h of the
+# main range h >= 2t(t+1)+1 that t+1 divides, which the paper treats apart.
+GRAY_CYCLE_CASES = ((1, 8), (1, 9), (2, 13), (2, 15), (3, 25), (3, 28))
 
 CROSS_VALIDATION_PAIRS = (
     tuple((1, h) for h in range(5, 13))

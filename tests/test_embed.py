@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from edcycles.crg import BLACK, GRAY, WHITE, k_rs, random_crg, sub_crg
+from edcycles.crg import BLACK, GRAY, WHITE, crg_from_pairs, k_rs, random_crg, sub_crg
 from edcycles.embed import (
     embeds,
     find_embedding,
@@ -15,6 +15,7 @@ from edcycles.embed import (
 )
 from edcycles.errors import EmbedTimeoutError, ParameterDomainError, SizeExceededError
 from edcycles.graphs import Graph, PowerCycleParams, partitionable, power_cycle
+from edcycles.spectrum import power_cycle_spectrum
 
 
 def random_graph(rng, n, density=0.5):
@@ -62,6 +63,73 @@ def test_embeds_matches_partitionable_on_cycle_powers():
             if r + s == 0:
                 continue
             assert embeds(H, k_rs(r, s)) == partitionable(H, r, s), (r, s)
+
+
+@pytest.mark.parametrize("h, t", [(21, 2), (24, 2), (24, 3)])
+def test_embeds_matches_partitionable_on_the_staircase(h, t):
+    # each row's boundary pair admits a partition and the pair below it does
+    # not; the unsatisfiable side is where the failed-state cache does its work
+    params = PowerCycleParams(h, t)
+    H = params.graph()
+    spec = power_cycle_spectrum(params)
+    for r in range(params.chi + 1):
+        boundary = sum(1 for row, _ in spec.pairs if row == r)
+        for s in {boundary, max(boundary - 1, 0)}:
+            if r + s:
+                assert embeds(H, k_rs(r, s), timeout=None) == partitionable(H, r, s), (r, s)
+
+
+def banded_graph(n, width):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + width + 1))]
+    return Graph.from_edges(n, edges)
+
+
+def brute_embeds(H, K):
+    """Test every map V(H) -> V(K) at once.  Map m is bit m of an int, and
+    its base-K.n digit i is the image of vertex i.  The embedding conditions
+    are pairwise, so a map fails when some H-pair lands on an image pair that
+    verify_embedding refuses for a two-vertex non-edge or edge."""
+    k, n = K.n, H.n
+    every_map = (1 << k**n) - 1
+    sends = []  # sends[i][u]: the maps that send vertex i to u
+    for i in range(n):
+        block, period = (1 << k**i) - 1, k ** (i + 1)
+        each_period = every_map // ((1 << period) - 1)  # bit 0 of every period
+        sends.append([(block << u * k**i) * each_period for u in range(k)])
+    fits = [  # fits[adjacent][u][w]
+        [[verify_embedding(pair, K, (u, w)) for w in range(k)] for u in range(k)]
+        for pair in (Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)]))
+    ]
+    failing = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            fit = fits[H.adjacent(i, j)]
+            for u in range(k):
+                for w in range(k):
+                    if not fit[u][w]:
+                        failing |= sends[i][u] & sends[j][w]
+    return failing != every_map
+
+
+def test_find_embedding_matches_brute_force():
+    # banded graphs, cycle powers and sparse graphs have vertices that turn
+    # dead early in the search order, which is where the failed-state cache
+    # keys and refuses states; a cache keyed on less than the live images
+    # and the dead-image set answers some of these pairs wrongly
+    rng = random.Random(83)
+    graphs = [
+        random_graph(rng, rng.randint(5, 7), rng.choice((0.2, 0.3, 0.5))) for _ in range(150)
+    ]
+    graphs += [banded_graph(n, w) for n in range(2, 8) for w in (1, 2, 3) if w < n]
+    graphs += [power_cycle(h, t) for h in range(4, 8) for t in (1, 2)]
+    verdicts = []
+    for H in graphs:
+        for _ in range(8):
+            K = random_crg(rng, rng.randint(1, 4), gray_weight=rng.choice((1.0, 3.0)))
+            found = find_embedding(H, K, timeout=None) is not None
+            assert found == brute_embeds(H, K), (H, K)
+            verdicts.append(found)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
 def test_interchangeable_classes_are_automorphism_orbits():
@@ -124,6 +192,22 @@ def test_timeout_reports_nodes_searched():
     # the clock is read every 1024 nodes, so a 1 ns budget stops at the first read
     with pytest.raises(EmbedTimeoutError, match=r"1e-09 s after 1024 nodes"):
         embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+
+
+def test_timeout_reports_cache_refusals():
+    # a cycle power's search refuses states within its first 1024 nodes
+    refusals = r"after 1024 nodes, [1-9]\d* refused by the failed-state cache"
+    with pytest.raises(EmbedTimeoutError, match=refusals):
+        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+    # in a clique every placed vertex awaits the last one, so no depth keeps
+    # a cache and nothing is refused; twin-free gray edges make it search
+    rng = random.Random(5)
+    colors = [GRAY if rng.random() < 0.7 else WHITE for _ in range(14 * 13 // 2)]
+    pairs = [(i, j) for i in range(14) for j in range(i + 1, 14)]
+    K = crg_from_pairs((WHITE,) * 14, [(i, j, c) for (i, j), c in zip(pairs, colors)])
+    clique = Graph.from_edges(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+    with pytest.raises(EmbedTimeoutError, match=r"after 1024 nodes, 0 refused"):
+        embeds(clique, K, timeout=1e-9)
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0, 0.0, -1.0, float("-inf")])
