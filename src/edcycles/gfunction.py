@@ -23,6 +23,17 @@ the integer vector u = d * A_T^-1 1 with every division exact.  The face is
 feasible when no u_i is negative, its value is g = d / (b * sum(u)) and its
 weights are u / sum(u); Fractions are built only for the winning support.
 
+Supports that cannot hold a minimizer are never solved.  Call vertices i
+and j a clashing pair when A_ii + A_jj < 2 A_ij.  At a minimizer x* whose
+positive support holds both, z = e_i - e_j is a feasible direction either
+way, stationarity gives z^T A x* = 0, and so f(x* + e z) = f(x*) +
+e^2 z^T A z < f(x*) for small e != 0.  No minimizer's positive support
+therefore holds a clashing pair, and the sweep solves only the supports that
+hold none.  The winner keeps the lowest bitmask among all supports, pruned
+or not, because that support carries no zero weight (see
+_stationary_points), so it is its minimizer's positive support and is never
+pruned.
+
 Numeric mode runs projected gradient descent from each simplex vertex and
 from the uniform point, with step halving; the rate form need not be convex,
 so the restarts are what buy global coverage at desk scale.
@@ -113,21 +124,55 @@ def _solve_face(rates, support: Sequence[int]):
     return d, u
 
 
-def _stationary_points(rates, scale: int, vertices: Sequence[int]):
-    """Yield (bits, value, u) for every support, in bitmask order over the
-    given vertices, whose face has a nonnegative stationary point.
+def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
+    """Bitmasks over the given vertices of every nonempty support that holds
+    no clashing pair (A_ii + A_jj < 2 A_ij), in increasing order.
 
-    rates is the rate matrix scaled by `scale`, bits selects the support from
-    vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
-    value is d / (scale * sum(u)); the weights on the support are u / sum(u).
-    Every exact route runs this sweep, so EXACT_SWEEP_BOUND is checked here.
+    Every exact route sweeps these faces, so EXACT_SWEEP_BOUND is checked
+    here, before any face is solved.  The supports over the first i vertices
+    come in increasing order, and vertex i extends each one it does not clash
+    with into a larger bitmask than any of them, so the order is kept.
     """
     m = len(vertices)
     if m > EXACT_SWEEP_BOUND:
         raise SizeExceededError(
             f"support sweep over {m} vertices exceeds bound {EXACT_SWEEP_BOUND}"
         )
-    for bits in range(1, 1 << m):
+    faces = [0]
+    for i, v in enumerate(vertices):
+        clash = sum(
+            1 << j
+            for j, w in enumerate(vertices[:i])
+            if rates[v][v] + rates[w][w] < 2 * rates[v][w]
+        )
+        faces += [f | 1 << i for f in faces if f & clash == 0]
+    return faces[1:]
+
+
+def _stationary_points(rates, scale: int, vertices: Sequence[int], faces: Sequence[int]):
+    """Yield (bits, value, u) for each support bitmask in faces, in the order
+    given, whose face has a nonnegative stationary point.
+
+    rates is the rate matrix scaled by `scale`, bits selects the support from
+    vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
+    value is d / (scale * sum(u)); the weights on the support are u / sum(u).
+
+    Of all supports, the lowest bitmask of least value g has no zero entry
+    in u.  Say it had: its point x* is a global minimizer on its positive
+    support P, a proper subset and so a lower bitmask, with A_P x*_P = g * 1.
+    If A_P is invertible, P yields x* and ties.  If not, take A_P w = 0 with
+    w != 0.  When sum(w) != 0, x* + e w keeps A_P x = g * 1, so its value on
+    the simplex is g / (1 + e sum(w)), below g for a small e of the right
+    sign (g > 0, as A is nonnegative with a positive diagonal): a
+    contradiction.  When sum(w) = 0 the value stays g along w up to a new
+    zero entry; repeat on that smaller support, which ends at an invertible
+    A_P by a single vertex at the latest.  Either way a lower bitmask ties, a
+    contradiction.  So that winner is its minimizer's positive support, holds
+    no clashing pair, and survives the pruning, which only drops candidates:
+    the sweep over _clash_free_faces picks the same support.
+    """
+    m = len(vertices)
+    for bits in faces:
         face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
         if face is None:
             continue
@@ -143,7 +188,8 @@ def _exact_min(rates, scale: int, vertices: Sequence[int]):
 
     Ties go to the lowest bitmask, so weights and supports are reproducible.
     """
-    best = min(_stationary_points(rates, scale, vertices), key=itemgetter(1), default=None)
+    faces = _clash_free_faces(rates, vertices)
+    best = min(_stationary_points(rates, scale, vertices, faces), key=itemgetter(1), default=None)
     if best is None:
         raise RuntimeError("no stationary candidate found; zero diagonal entry?")
     bits, value, u = best
@@ -256,7 +302,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     reciprocal-sum component identity rather than assume it.
     """
     if mode == "numeric":
-        M = np.array(rate_matrix(K, float(p)).entries, dtype=float)
+        M = np.array(rate_matrix(K, float(to_fraction(p))).entries, dtype=float)
         value, x = _numeric_min(M)
         weights = tuple(float(w) for w in x)
         support = tuple(i for i, w in enumerate(weights) if w > NUMERIC_TOL)
@@ -283,19 +329,20 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     return GValue(g, tuple(weights), tuple(sorted(support)), "exact")
 
 
-def g_endpoint(K: Crg, p: int) -> Fraction:
+def g_endpoint(K: Crg, p: Number) -> Fraction:
     """Literal evaluation of the rate form minimum at p = 0 or p = 1.
 
     A white vertex absorbs all weight at p=0 (and a black one at p=1) for a
     value of zero; otherwise the 0/1-entry program is solved exactly, up to
     EXACT_SWEEP_BOUND vertices per component.
     """
+    p = to_fraction(p)
     if p not in (0, 1):
         raise ParameterDomainError("g_endpoint is defined for p in {0, 1} only")
     zero_color = WHITE if p == 0 else BLACK
     if any(c == zero_color for c in K.vertex_colors):
         return Fraction(0)
-    rates, scale = _integer_rates(K, Fraction(p))
+    rates, scale = _integer_rates(K, p)
     return _recombined_min(rates, scale, component_sets(K))[0]
 
 
@@ -349,22 +396,33 @@ def is_p_core(K: Crg, p: Number) -> bool:
     converted exactly but the strict gap must then exceed 1e-12, so that
     float callers cannot mistake roundoff for strictness.  K may have at most
     EXACT_SWEEP_BOUND vertices.
+
+    Every proper induced sub-CRG is a face that misses some vertex, so K is a
+    p-core exactly when its full face has a nonnegative stationary point that
+    beats every proper face by more than the margin.  The full face is solved
+    first: when it is singular, has a negative entry or holds a clashing pair
+    (then its stationary point is no minimizer, and a proper face does at
+    least as well), K is no p-core.  Otherwise the clash-free proper faces
+    are swept, and the first whose value ties or beats it within the margin
+    decides; the least of them is the least of all proper sub-CRG values, as
+    each sub-CRG's optimum sits on a clash-free face.
     """
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
     if not 0 < p < 1:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
-    # Every proper induced sub-CRG is a face that misses some vertex, so K is
-    # a p-core exactly when its full face is feasible and beats the best
-    # non-full face by more than the margin.
-    full = (1 << K.n) - 1
-    g_full, g_rest = None, None
-    for bits, value, _ in _stationary_points(*_integer_rates(K, p), range(K.n)):
-        if bits == full:
-            g_full = value
-        elif g_rest is None or value < g_rest:
-            g_rest = value
-    if g_full is None or (g_rest is not None and g_rest - g_full <= margin):
+    rates, scale = _integer_rates(K, p)
+    vertices = range(K.n)
+    faces = _clash_free_faces(rates, vertices)
+    full = faces.pop()  # the full face, unless it holds a clashing pair
+    if full != (1 << K.n) - 1:
+        return False
+    solved = next(_stationary_points(rates, scale, vertices, [full]), None)
+    if solved is None:
+        return False
+    _, g_full, _ = solved
+    proper = _stationary_points(rates, scale, vertices, faces)
+    if any(value - g_full <= margin for _, value, _ in proper):
         return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching

@@ -5,8 +5,9 @@ Every exact route takes p through ``to_fraction`` and returns
 g-function's support sweep (which scales the rate matrix by the denominator
 of p and runs on integers) for p in (0, 1).  Floats are accepted at entry
 points and converted exactly (every finite float is a rational, so 0.1
-becomes 3602879701896397/2^55); NaN and infinities are refused.  CLI string
-inputs like ``"1/3"`` or ``"0.3"`` parse to the exact decimal/ratio value.
+becomes 3602879701896397/2^55); NaN, infinities and booleans are refused.
+CLI string inputs like ``"1/3"`` or ``"0.3"`` parse to the exact
+decimal/ratio value.
 JSON interchange serializes rationals as ``"num/den"`` strings so nothing is
 lost in transit, and reads counts and indices only from JSON integers and
 sequences only from JSON arrays.
@@ -25,9 +26,12 @@ Number = Fraction | int | float
 
 def to_fraction(value: Number | str) -> Fraction:
     """Convert ints, finite floats (to their exact binary value), strings,
-    and Fractions to an exact Fraction; NaN and infinities are refused."""
+    and Fractions to an exact Fraction; NaN, infinities and booleans are
+    refused, although Python treats True and False as the ints 1 and 0."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ParameterDomainError(f"{value!r} is not a number")
     if isinstance(value, float) and not isfinite(value):
         raise ParameterDomainError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from edcycles.crg import (
 )
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import (
+    GValue,
     _integer_rates,
     _solve_face,
     degree_report,
@@ -107,7 +109,7 @@ def test_flat_optimal_face_with_singular_system():
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
         gv = g_value(K, p)
         assert gv.value == p
-        assert len(gv.support) == 1
+        assert gv.support == (0,)  # ties go to the lowest bitmask
     K3 = crg_from_pairs(
         (WHITE, WHITE, WHITE), [(0, 1, WHITE), (0, 2, WHITE), (1, 2, WHITE)]
     )
@@ -238,18 +240,29 @@ def test_g_endpoint_with_singular_pair_face():
     assert g_endpoint(K, 0) == 1
 
 
+P_ENTRIES = {
+    "g_value": lambda p: g_value(k_rs(1, 1), p),
+    "g_value_numeric": lambda p: g_value(k_rs(1, 1), p, mode="numeric"),
+    "is_p_core": lambda p: is_p_core(k_rs(1, 1), p),
+    "g_krs": lambda p: g_krs(1, 1, p),
+}
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("entry", list(P_ENTRIES.values()), ids=list(P_ENTRIES))
+def test_non_finite_p_is_a_domain_error(entry, p):
+    with pytest.raises(ParameterDomainError):
+        entry(p)
+
+
+@pytest.mark.parametrize("p", [True, False])
 @pytest.mark.parametrize(
     "entry",
-    [
-        lambda p: g_value(k_rs(1, 1), p),
-        lambda p: g_value(k_rs(1, 1), p, mode="numeric"),
-        lambda p: is_p_core(k_rs(1, 1), p),
-        lambda p: g_krs(1, 1, p),
-    ],
-    ids=["g_value", "g_value_numeric", "is_p_core", "g_krs"],
+    [*P_ENTRIES.values(), lambda p: g_endpoint(k_rs(0, 2), p)],
+    ids=[*P_ENTRIES, "g_endpoint"],
 )
-def test_non_finite_p_is_a_domain_error(entry, p):
+def test_bool_p_is_a_domain_error(entry, p):
+    # True and False are the ints 1 and 0 to Python, but never a p
     with pytest.raises(ParameterDomainError):
         entry(p)
 
@@ -355,6 +368,88 @@ def test_integer_face_solver_matches_fraction_reference(p):
                 assert Fraction(d, scale * sum(u)) == 1 / sum(y)
                 assert [Fraction(x, sum(u)) for x in u] == [v / sum(y) for v in y]
     assert min(seen.values()) > 0, seen
+
+
+def reference_sweep(rates, scale, vertices):
+    """The unpruned support sweep: (bits, value, u) for every support over
+    vertices, in bitmask order, whose face has a nonnegative stationary point."""
+    m = len(vertices)
+    for bits in range(1, 1 << m):
+        face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
+        if face is not None and min(face[1]) >= 0:
+            d, u = face
+            yield bits, Fraction(d, scale * sum(u)), u
+
+
+def reference_g_value(K, p, blocks=None) -> GValue:
+    """g_value from the unpruned sweep, over the given independently solved
+    blocks (the whole CRG by default), with ties to the lowest bitmask."""
+    rates, scale = _integer_rates(K, Fraction(p))
+    pieces = []
+    for block in blocks or [range(K.n)]:
+        bits, value, u = min(reference_sweep(rates, scale, block), key=itemgetter(1))
+        # a lowest-bitmask winner carries no zero weight (see the proof at
+        # gfunction._stationary_points), so its support is its positive support
+        assert min(u) > 0, (K, p, block)
+        support = [v for i, v in enumerate(block) if bits >> i & 1]
+        pieces.append((value, support, u))
+    g = 1 / sum(1 / value for value, _, _ in pieces)
+    weights = [Fraction(0)] * K.n
+    for value, support, u in pieces:
+        for v, x in zip(support, u):
+            weights[v] = Fraction(x, sum(u)) * g / value
+    return GValue(g, tuple(weights), tuple(v for v in range(K.n) if weights[v] > 0), "exact")
+
+
+def reference_is_p_core(K, p) -> bool:
+    """is_p_core from the unpruned sweep: the full face is feasible and beats
+    the best proper face by more than the margin."""
+    margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
+    full = (1 << K.n) - 1
+    g_full, g_rest = None, None
+    for bits, value, _ in reference_sweep(*_integer_rates(K, Fraction(p)), range(K.n)):
+        if bits == full:
+            g_full = value
+        elif g_rest is None or value < g_rest:
+            g_rest = value
+    return g_full is not None and (g_rest is None or g_rest - g_full > margin)
+
+
+def clashing_pairs(K, p, support):
+    M = rate_matrix(K, Fraction(p)).entries
+    return [
+        (i, j) for i, j in itertools.combinations(support, 2) if M[i][i] + M[j][j] < 2 * M[i][j]
+    ]
+
+
+def test_pruned_sweep_matches_unpruned_reference():
+    # The sweep skips every support holding a clashing pair, and is_p_core
+    # decides from the full face first; neither may change a value, a weight,
+    # a support or a verdict against the sweep over all 2^n - 1 supports.
+    rng = random.Random(2027)
+    ps = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101), 0.3)
+    verdicts = {True: 0, False: 0}
+    clashing = 0
+    for k in range(2016):
+        n, p = rng.randint(1, 7), ps[k % len(ps)]
+        style = k // len(ps) % 3
+        if style == 0:
+            K = random_crg(rng, n)
+        elif style == 1:
+            K = random_crg(rng, n, gray_weight=4.0)
+        else:
+            K = crg_from_pairs([rng.choice(VERTEX_COLORS) for _ in range(n)])
+        joint = reference_g_value(K, p)
+        assert g_value(K, p, decompose=False) == joint, (K, p)
+        blocks = component_sets(K)
+        decomposed = joint if len(blocks) == 1 else reference_g_value(K, p, blocks)
+        assert g_value(K, p) == decomposed, (K, p)
+        verdict = is_p_core(K, p)
+        assert verdict == reference_is_p_core(K, p), (K, p)
+        verdicts[verdict] += 1
+        assert clashing_pairs(K, p, joint.support) == []
+        clashing += bool(clashing_pairs(K, p, range(K.n)))
+    assert min(verdicts.values()) > 100 and clashing > 500, (verdicts, clashing)
 
 
 @st.composite

@@ -34,3 +34,9 @@ def test_number_str_roundtrip():
     assert number_str(Fraction(2, 9)) == "2/9"
     assert number_str(Fraction(4)) == "4"
     assert number_str(0.5) == 0.5
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_to_fraction_refuses_booleans(value):
+    with pytest.raises(ParameterDomainError):
+        to_fraction(value)
