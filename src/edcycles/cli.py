@@ -52,8 +52,14 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _load_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError:
+        raise
+    except (UnicodeDecodeError, RecursionError, ValueError) as exc:
+        # undecodable bytes, nesting too deep, an integer past the digit limit
+        raise ParameterDomainError(f"unreadable JSON in {path}: {exc}") from exc
 
 
 def _graph_from_args(args):
@@ -89,10 +95,7 @@ def cmd_curve(args) -> int:
             raise ParameterDomainError(f"no grid point in [{lo}, {hi}]")
     samples = curves.curve_samples(params, grid)
     search = None
-    want_search = args.search
-    if want_search is None:  # auto: only when the exact oracle can handle h
-        want_search = args.h <= EXACT_SEARCH_BOUND
-    if want_search:
+    if args.search and args.h <= EXACT_SEARCH_BOUND:
         spec = power_cycle_spectrum(params)
         search = [gamma(spec, p) for p in grid]
     if args.format == "csv":
@@ -167,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit grid point; repeatable")
     p_curve.add_argument("--p-min", type=_rational, default=Fraction(0))
     p_curve.add_argument("--p-max", type=_rational, default=Fraction(1))
-    p_curve.add_argument("--search", dest="search", action="store_true", default=None,
-                         help="force the search-based gamma column (default: auto)")
-    p_curve.add_argument("--no-search", dest="search", action="store_false")
+    p_curve.add_argument("--no-search", dest="search", action="store_false",
+                         help="omit the search-based gamma column (omitted anyway above "
+                         "the exact-search bound on h)")
     p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p_curve)
     p_curve.set_defaults(func=cmd_curve)

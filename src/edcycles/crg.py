@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
@@ -23,6 +22,7 @@ BLACK = "black"
 VERTEX_COLORS = (WHITE, BLACK)
 EDGE_COLORS = (WHITE, GRAY, BLACK)
 CORPUS_MAX_VERTICES = 8
+CORPUS_SIZE = 200
 
 
 def _pair_index(n: int, i: int, j: int) -> int:
@@ -105,26 +105,24 @@ def k_rs(r: int, s: int) -> Crg:
     return crg_from_pairs((WHITE,) * r + (BLACK,) * s)
 
 
-@dataclass(frozen=True)
-class RateMatrix:
-    """Symmetric matrix of edit rates: p for white, 1-p for black, 0 for gray.
+def rate_matrix(K: Crg, p: Number) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer rate matrix b * M(p) of K at p = a/b in lowest terms, and b.
 
-    The diagonal entry of a vertex is p when white and 1-p when black.
-    Entries are exact Fractions; a float p is converted exactly first.
+    M(p) is the symmetric matrix of edit rates: p on a white edge, 1 - p on a
+    black edge and 0 on a gray one, with p on the diagonal of a white vertex
+    and 1 - p on that of a black one.  Scaled by b, its entries are the
+    integers a (white), b - a (black) and 0 (gray).  A float p is first
+    converted to its exact rational value.
     """
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-
-def rate_matrix(K: Crg, p: Number) -> RateMatrix:
     p = to_probability(p)
-    by_color = {WHITE: p, BLACK: 1 - p, GRAY: Fraction(0)}
-    rows = [[Fraction(0)] * K.n for _ in range(K.n)]
+    a, b = p.numerator, p.denominator
+    by_color = {WHITE: a, BLACK: b - a, GRAY: 0}
+    rows = [[0] * K.n for _ in range(K.n)]
     for v in range(K.n):
         rows[v][v] = by_color[K.vertex_colors[v]]
     for i, j, color in K.pairs():
         rows[i][j] = rows[j][i] = by_color[color]
-    return RateMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows), b
 
 
 def component_sets(K: Crg) -> list[tuple[int, ...]]:
@@ -201,17 +199,17 @@ def random_crg(rng: random.Random, n: int, gray_weight: float = 1.0) -> Crg:
     return Crg(n, colors, edge_colors)
 
 
-def standard_corpus(seed: int, count: int = 200) -> list[Crg]:
-    """Seeded CRG corpus for randomized property suites.
+def standard_corpus(seed: int) -> list[Crg]:
+    """Seeded corpus of CORPUS_SIZE CRGs for randomized property suites.
 
     Mixes three styles: uniform edge colors, gray-dominated edge colors (the
     shape p-core CRGs actually take), and all-gray CRGs with random vertex
     colors, each of 1..CORPUS_MAX_VERTICES vertices.  Deterministic for a
-    fixed seed.
+    fixed seed, and drawn in order, so a prefix is a smaller corpus.
     """
     rng = random.Random(seed)
     corpus = []
-    for i in range(count):
+    for i in range(CORPUS_SIZE):
         n = rng.randint(1, CORPUS_MAX_VERTICES)
         style = i % 3
         if style == 0:

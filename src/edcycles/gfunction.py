@@ -15,9 +15,8 @@ contribute zero entries, the matrix is block diagonal over the components of
 the non-gray edge graph, and reciprocals of component optima add up:
 1/g_K = sum_i 1/g_{K_i}.
 
-The sweep runs over the integers.  For p = a/b the matrix A = b * M(p) has
-entries a (white), b - a (black) and 0 (gray); a float p is first converted
-to its exact rational value.  Each face is solved by Bareiss fraction-free
+The sweep runs over the integer matrix A = b * M(p) that crg.rate_matrix
+returns for p = a/b.  Each face is solved by Bareiss fraction-free
 elimination (Bareiss 1968, Math. Comp. 22), which yields d = |det A_T| and
 the integer vector u = d * A_T^-1 1 with every division exact.  The face is
 feasible when no u_i is negative, its value is g = d / (b * sum(u)) and its
@@ -78,14 +77,6 @@ class GValue:
             "support": list(self.support),
             "mode": self.mode,
         }
-
-
-def _integer_rates(K: Crg, p: Fraction):
-    """rate_matrix(K, p) scaled by the denominator b of p = a/b, so that every
-    entry is an integer: a on white, b - a on black, 0 on gray.  Returns
-    (rows, b)."""
-    b = p.denominator
-    return [[int(v * b) for v in row] for row in rate_matrix(K, p).entries], b
 
 
 def _solve_face(rates, support: Sequence[int]):
@@ -302,7 +293,8 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     reciprocal-sum component identity rather than assume it.
     """
     if mode == "numeric":
-        M = np.array(rate_matrix(K, float(to_fraction(p))).entries, dtype=float)
+        rows, b = rate_matrix(K, float(to_fraction(p)))
+        M = np.array([[x / b for x in row] for row in rows])  # correctly rounded
         value, x = _numeric_min(M)
         weights = tuple(float(w) for w in x)
         support = tuple(i for i, w in enumerate(weights) if w > NUMERIC_TOL)
@@ -315,7 +307,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
         raise ParameterDomainError(
             "exact mode needs 0 < p < 1; use g_endpoint for p in {0, 1}"
         )
-    rates, scale = _integer_rates(K, p)
+    rates, scale = rate_matrix(K, p)
     blocks = component_sets(K) if decompose else [tuple(range(K.n))]
     g, pieces = _recombined_min(rates, scale, blocks)
     weights = [Fraction(0)] * K.n
@@ -342,7 +334,7 @@ def g_endpoint(K: Crg, p: Number) -> Fraction:
     zero_color = WHITE if p == 0 else BLACK
     if any(c == zero_color for c in K.vertex_colors):
         return Fraction(0)
-    rates, scale = _integer_rates(K, p)
+    rates, scale = rate_matrix(K, p)
     return _recombined_min(rates, scale, component_sets(K))[0]
 
 
@@ -411,7 +403,7 @@ def is_p_core(K: Crg, p: Number) -> bool:
     p = to_fraction(p)
     if not 0 < p < 1:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
-    rates, scale = _integer_rates(K, p)
+    rates, scale = rate_matrix(K, p)
     vertices = range(K.n)
     faces = _clash_free_faces(rates, vertices)
     full = faces.pop()  # the full face, unless it holds a clashing pair

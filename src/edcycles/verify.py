@@ -28,7 +28,6 @@ from .graphs import PowerCycleParams
 from .spectrum import gamma, power_cycle_spectrum
 
 CORPUS_SEED = 20260810
-CORPUS_COUNT = 200  # CRGs in the weights and components corpus
 
 # (t, h), white counts 0..t-1.  (2, 15) and (3, 28) are the least h of the
 # main range h >= 2t(t+1)+1 that t+1 divides, which the paper treats apart.
@@ -184,7 +183,7 @@ def weight_suite() -> dict:
     are tallied separately; too few asserted instances fails the suite, so
     the corpus must keep producing gray-dominated CRGs.
     """
-    corpus = standard_corpus(CORPUS_SEED, count=CORPUS_COUNT)
+    corpus = standard_corpus(CORPUS_SEED)
     asserted = 0
     vacuous = 0
     degree_instances = 0
@@ -221,7 +220,7 @@ def weight_suite() -> dict:
 def component_suite() -> dict:
     """Reciprocal-sum identity: the jointly solved optimum of a CRG must equal
     the recombination of its independently solved components."""
-    corpus = standard_corpus(CORPUS_SEED, count=CORPUS_COUNT)
+    corpus = standard_corpus(CORPUS_SEED)
     failures = []
     for index, K in enumerate(corpus):
         parts = component_sets(K)

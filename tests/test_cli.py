@@ -124,6 +124,39 @@ def test_spectrum_malformed_graph_file_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "ParameterDomainError"
 
 
+UNREADABLE_JSON = {
+    "not-utf8": b"\xff{}",
+    "nested-too-deep": b"[" * 200_000,
+    "integer-past-digit-limit": b'{"n": ' + b"9" * 5000 + b', "edges": []}',
+}
+FILE_COMMANDS = {
+    "g": ["g", "--p", "1/3", "--crg"],
+    "spectrum": ["spectrum", "--graph"],
+    "embed": ["embed", "--h", "8", "--t", "1", "--crg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+def test_unreadable_json_file_exits_2(capsys, tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE_JSON[content])
+    code, out, err = run(capsys, *FILE_COMMANDS[command], str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_json_syntax_error_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3,')
+    code, out, err = run(capsys, *FILE_COMMANDS[command], str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "JSONDecodeError"
+
+
 def test_g_exact_from_crg_file(capsys, tmp_path):
     path = tmp_path / "k11.json"
     path.write_text(json.dumps(crg_to_json(k_rs(1, 1))))
@@ -166,6 +199,11 @@ def test_g_krs_shortcut_is_exact(capsys):
 @pytest.mark.parametrize("flag", ["--mode", "--exact", "--numeric"])
 def test_g_has_no_mode_flags(capsys, flag):
     assert_argument_error(capsys, "g", "--krs", "1", "1", "--p", "1/3", flag)
+
+
+def test_curve_has_no_search_flag(capsys):
+    # the search column is on whenever h allows it; only --no-search remains
+    assert_argument_error(capsys, "curve", "--h", "8", "--t", "1", "--search")
 
 
 def test_g_endpoint(capsys):

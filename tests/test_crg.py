@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from edcycles.crg import (
     BLACK,
+    CORPUS_SIZE,
     GRAY,
     WHITE,
     color_swap,
@@ -27,7 +28,7 @@ from edcycles.crg import (
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import is_p_core, p_core_structure_ok
 from edcycles.graphs import graph_from_json
-from test_gfunction import reference_g_value
+from test_gfunction import fraction_rates, reference_g_value
 
 
 def test_k_rs_shape():
@@ -44,51 +45,58 @@ def test_k_rs_rejects_empty():
 
 
 def test_rate_matrix_k11():
-    M = rate_matrix(k_rs(1, 1), Fraction(1, 3))
-    assert M.entries == (
-        (Fraction(1, 3), Fraction(0)),
-        (Fraction(0), Fraction(2, 3)),
-    )
+    # b * M(p) at p = 1/3: a = 1 on the white vertex, b - a = 2 on the black
+    assert rate_matrix(k_rs(1, 1), Fraction(1, 3)) == (((1, 0), (0, 2)), 3)
 
 
 def test_rate_matrix_single_black():
-    p = Fraction(1, 5)
-    assert rate_matrix(k_rs(0, 1), p).entries == ((1 - p,),)
+    assert rate_matrix(k_rs(0, 1), Fraction(1, 5)) == (((4,),), 5)
 
 
 def test_rate_matrix_white_edge_between_blacks():
     K = crg_from_pairs((BLACK, BLACK), [(0, 1, WHITE)])
-    M = rate_matrix(K, Fraction(1, 3))
-    assert M.entries == (
-        (Fraction(2, 3), Fraction(1, 3)),
-        (Fraction(1, 3), Fraction(2, 3)),
-    )
+    assert rate_matrix(K, Fraction(1, 3)) == (((2, 1), (1, 2)), 3)
 
 
 def test_rate_matrix_half_is_flat():
     rng = random.Random(3)
     for _ in range(10):
         K = random_crg(rng, rng.randint(1, 6))
-        M = rate_matrix(K, Fraction(1, 2))
+        rows, b = rate_matrix(K, Fraction(1, 2))
+        assert b == 2
         for i in range(K.n):
             for j in range(K.n):
-                assert M.entries[i][j] in (Fraction(0), Fraction(1, 2))
+                assert rows[i][j] in (0, 1)
 
 
 def test_rate_matrix_complement_consistency():
-    # nonzero entries of M(p) and M(1-p) pair up to 1; gray stays 0 in both
+    # nonzero entries of b * M(p) and b * M(1-p) pair up to b; gray stays 0 in both
     rng = random.Random(5)
     p = Fraction(2, 7)
     for _ in range(20):
         K = random_crg(rng, rng.randint(1, 7))
-        M = rate_matrix(K, p)
-        W = rate_matrix(K, 1 - p)
+        M, b = rate_matrix(K, p)
+        W, c = rate_matrix(K, 1 - p)
+        assert b == c == 7
         for i in range(K.n):
             for j in range(K.n):
                 if i != j and K.edge_color(i, j) == GRAY:
-                    assert M.entries[i][j] == W.entries[i][j] == 0
+                    assert M[i][j] == W[i][j] == 0
                 else:
-                    assert M.entries[i][j] + W.entries[i][j] == 1
+                    assert M[i][j] + W[i][j] == b
+
+
+@pytest.mark.parametrize("p", [0, Fraction(1, 4), Fraction(1, 2), Fraction(37, 101), 0.3, 1], ids=str)
+def test_rate_matrix_is_the_scaled_rate_rule(p):
+    exact = Fraction(p)
+    rng = random.Random(13)
+    for _ in range(30):
+        K = random_crg(rng, rng.randint(1, 8))
+        rows, b = rate_matrix(K, p)
+        assert b == exact.denominator
+        assert all(type(x) is int for row in rows for x in row)
+        assert rows == tuple(tuple(v * b for v in row) for row in fraction_rates(K, p))
+        assert rate_matrix(color_swap(K), 1 - exact) == (rows, b)
 
 
 def test_rate_matrix_rejects_bad_p():
@@ -258,7 +266,7 @@ def test_is_p_core_matches_direct_sub_crg_comparison():
 
 def test_p_core_structure_on_certified_cores():
     for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        for K in standard_corpus(99, count=60):
+        for K in standard_corpus(99)[:60]:
             if is_p_core(K, p):
                 assert p_core_structure_ok(K, p), (K, p)
 
@@ -270,11 +278,11 @@ def test_color_swap_exchanges_white_and_black():
     assert swapped.edge_colors == (BLACK, GRAY, WHITE)
     assert color_swap(swapped) == K
     p = Fraction(2, 7)
-    assert rate_matrix(swapped, 1 - p).entries == rate_matrix(K, p).entries
+    assert rate_matrix(swapped, 1 - p) == rate_matrix(K, p)
 
 
 def test_is_p_core_float_entry_agrees_with_exact():
-    for K in standard_corpus(7, count=30):
+    for K in standard_corpus(7)[:30]:
         assert is_p_core(K, 0.25) == is_p_core(K, Fraction(1, 4))
 
 
@@ -284,5 +292,5 @@ def test_is_p_core_bound():
 
 
 def test_standard_corpus_deterministic():
-    assert standard_corpus(42, count=30) == standard_corpus(42, count=30)
-    assert len(standard_corpus(1, count=17)) == 17
+    assert standard_corpus(42) == standard_corpus(42)
+    assert len(standard_corpus(1)) == CORPUS_SIZE

@@ -24,13 +24,13 @@ from edcycles.crg import (
     crg_to_json,
     k_rs,
     random_crg,
+    rate_matrix,
     standard_corpus,
     sub_crg,
 )
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import (
     GValue,
-    _integer_rates,
     _solve_face,
     degree_report,
     g_endpoint,
@@ -38,8 +38,24 @@ from edcycles.gfunction import (
     g_value,
     is_p_core,
     p_core_structure_ok,
-    rate_matrix,
 )
+
+
+def fraction_rates(K, p):
+    """M(p) by the rate rule, independently of crg.rate_matrix: p on white,
+    1 - p on black and 0 on gray, with the diagonal set by the vertex color."""
+    p = Fraction(p)
+    rule = {WHITE: p, BLACK: 1 - p, GRAY: Fraction(0)}
+    return [
+        [rule[K.vertex_colors[i] if i == j else K.edge_color(i, j)] for j in range(K.n)]
+        for i in range(K.n)
+    ]
+
+
+def float_rates(K, p):
+    """rate_matrix(K, p) as floats, each entry x / b correctly rounded."""
+    rows, b = rate_matrix(K, p)
+    return [[x / b for x in row] for row in rows]
 
 
 def grid_minimum_two_vertices(M, resolution=10**4) -> float:
@@ -87,7 +103,7 @@ def test_two_blacks_white_edge_against_grid_oracle():
     gv = g_value(K, p)
     assert gv.value == Fraction(1, 2)
     assert gv.weights == (Fraction(1, 2), Fraction(1, 2))
-    M = [[float(v) for v in row] for row in rate_matrix(K, 1 / 3).entries]
+    M = float_rates(K, 1 / 3)
     assert abs(grid_minimum_two_vertices(M) - 0.5) < 1e-7
 
 
@@ -98,7 +114,7 @@ def test_indefinite_form_grid_oracle():
     p = Fraction(1, 5)
     gv = g_value(K, p)
     assert gv.value == p
-    M = [[float(v) for v in row] for row in rate_matrix(K, 0.2).entries]
+    M = float_rates(K, 0.2)
     assert abs(grid_minimum_two_vertices(M) - 0.2) < 1e-7
 
 
@@ -132,7 +148,7 @@ def test_three_vertex_grid_oracle():
     for _ in range(12):
         K = random_crg(rng, 3)
         p = Fraction(rng.randint(1, 9), 10)
-        M = [[float(v) for v in row] for row in rate_matrix(K, float(p)).entries]
+        M = float_rates(K, float(p))
         values = (
             M[0][0] * x0 * x0
             + M[1][1] * x1 * x1
@@ -150,13 +166,13 @@ def test_value_consistent_with_weights():
         K = random_crg(rng, rng.randint(1, 7))
         p = Fraction(rng.randint(1, 9), 10)
         gv = g_value(K, p)
-        M = rate_matrix(K, p).entries
+        rows, b = rate_matrix(K, p)
         direct = sum(
-            M[i][j] * gv.weights[i] * gv.weights[j]
+            rows[i][j] * gv.weights[i] * gv.weights[j]
             for i in range(K.n)
             for j in range(K.n)
         )
-        assert direct == gv.value
+        assert direct == b * gv.value
         assert sum(gv.weights) == 1
         assert gv.support == tuple(i for i, w in enumerate(gv.weights) if w > 0)
 
@@ -181,7 +197,7 @@ def test_random_feasible_points_never_beat_optimum():
         K = random_crg(rng, rng.randint(2, 6))
         p = rng.choice((0.25, 0.5, 0.75))
         gv = g_value(K, Fraction(p))
-        M = [[float(v) for v in row] for row in rate_matrix(K, p).entries]
+        M = float_rates(K, p)
         for _ in range(50):
             x = random_feasible_point(rng, K.n)
             value = sum(
@@ -191,7 +207,7 @@ def test_random_feasible_points_never_beat_optimum():
 
 
 def test_numeric_weights_form_a_distribution():
-    for K in standard_corpus(5, count=20):
+    for K in standard_corpus(5)[:20]:
         gv = g_value(K, 0.35, mode="numeric")
         assert abs(sum(gv.weights) - 1) <= 1e-12
         assert all(w >= 0 for w in gv.weights)
@@ -199,7 +215,7 @@ def test_numeric_weights_form_a_distribution():
 
 
 def test_exact_numeric_agreement_on_corpus():
-    for K in standard_corpus(71, count=40):
+    for K in standard_corpus(71)[:40]:
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             exact = g_value(K, p).value
             numeric = g_value(K, float(p), mode="numeric").value
@@ -340,10 +356,10 @@ def test_integer_face_solver_matches_fraction_reference(p):
     ]
     cases += [random_crg(rng, rng.randint(1, 7)) for _ in range(40)]
     for K in cases:
-        M = rate_matrix(K, exact_p).entries
-        rates, scale = _integer_rates(K, exact_p)
+        M = fraction_rates(K, exact_p)
+        rates, scale = rate_matrix(K, exact_p)
         assert scale == exact_p.denominator
-        assert rates == [[v * scale for v in row] for row in M]
+        assert rates == tuple(tuple(v * scale for v in row) for row in M)
         for size in range(1, K.n + 1):
             for support in itertools.combinations(range(K.n), size):
                 if size > 3 and rng.random() < 0.7:
@@ -384,7 +400,7 @@ def reference_sweep(rates, scale, vertices):
 def reference_g_value(K, p, blocks=None) -> GValue:
     """g_value from the unpruned sweep, over the given independently solved
     blocks (the whole CRG by default), with ties to the lowest bitmask."""
-    rates, scale = _integer_rates(K, Fraction(p))
+    rates, scale = rate_matrix(K, p)
     pieces = []
     for block in blocks or [range(K.n)]:
         bits, value, u = min(reference_sweep(rates, scale, block), key=itemgetter(1))
@@ -407,7 +423,7 @@ def reference_is_p_core(K, p) -> bool:
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     full = (1 << K.n) - 1
     g_full, g_rest = None, None
-    for bits, value, _ in reference_sweep(*_integer_rates(K, Fraction(p)), range(K.n)):
+    for bits, value, _ in reference_sweep(*rate_matrix(K, p), range(K.n)):
         if bits == full:
             g_full = value
         elif g_rest is None or value < g_rest:
@@ -416,7 +432,7 @@ def reference_is_p_core(K, p) -> bool:
 
 
 def clashing_pairs(K, p, support):
-    M = rate_matrix(K, Fraction(p)).entries
+    M, _ = rate_matrix(K, p)
     return [
         (i, j) for i, j in itertools.combinations(support, 2) if M[i][i] + M[j][j] < 2 * M[i][j]
     ]
@@ -479,9 +495,9 @@ def test_exact_g_invariant_under_relabelling(data, K, p):
     x = [Fraction(0)] * K.n
     for i, v in enumerate(perm):
         x[v] = gr.weights[i]
-    M = rate_matrix(K, p).entries
+    rows, b = rate_matrix(K, p)
     assert sum(x) == 1 and min(x) >= 0
-    assert sum(M[i][j] * x[i] * x[j] for i in range(K.n) for j in range(K.n)) == gv.value
+    assert sum(rows[i][j] * x[i] * x[j] for i in range(K.n) for j in range(K.n)) == b * gv.value
 
 
 @few_examples
