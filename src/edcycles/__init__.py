@@ -33,10 +33,8 @@ from .curves import (
     default_p_grid,
     ed_closed,
     ed_covered,
-    ed_cycles_closed,
     gamma_closed,
     gamma_closed_with_branch,
-    gamma_three_term,
     max_point,
     verify_facts,
 )
@@ -81,7 +79,6 @@ from .spectrum import (
     CliqueSpectrum,
     clique_spectrum,
     gamma,
-    gamma_with_branch,
     power_cycle_spectrum,
 )
 

@@ -82,17 +82,12 @@ def cmd_curve(args) -> int:
     params = PowerCycleParams(args.h, args.t)
     if args.p:
         grid = list(args.p)
+    elif args.samples is not None:
+        grid = curves.uniform_p_grid(args.samples)
     else:
-        if args.samples is None:
-            # default grid: 201 uniform samples enriched with p0, 1/2, and
-            # the exact branch crossings, where the curve kinks
-            grid = curves.default_p_grid(params)
-        else:
-            grid = curves.uniform_p_grid(args.samples)
-        lo, hi = min(args.p_min, args.p_max), max(args.p_min, args.p_max)
-        grid = [p for p in grid if lo <= p <= hi]
-        if not grid:
-            raise ParameterDomainError(f"no grid point in [{lo}, {hi}]")
+        # default grid: 201 uniform samples enriched with p0, 1/2, and the
+        # exact branch crossings, where the curve kinks
+        grid = curves.default_p_grid(params)
     samples = curves.curve_samples(params, grid)
     search = None
     if args.search and args.h <= EXACT_SEARCH_BOUND:
@@ -164,12 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = subs.add_parser("curve", help="emit the closed-form curve on a p-grid")
     p_curve.add_argument("--h", type=int, required=True)
     p_curve.add_argument("--t", type=int, required=True)
-    p_curve.add_argument("--samples", type=int, default=None,
-                         help="uniform grid size; default 201 plus special points")
-    p_curve.add_argument("--p", type=_rational, action="append", default=None,
-                         help="explicit grid point; repeatable")
-    p_curve.add_argument("--p-min", type=_rational, default=Fraction(0))
-    p_curve.add_argument("--p-max", type=_rational, default=Fraction(1))
+    grid_flags = p_curve.add_mutually_exclusive_group()
+    grid_flags.add_argument("--samples", type=int, default=None,
+                            help="uniform grid size; default 201 plus special points")
+    grid_flags.add_argument("--p", type=_rational, action="append", default=None,
+                            help="explicit grid point; repeatable")
     p_curve.add_argument("--no-search", dest="search", action="store_false",
                          help="omit the search-based gamma column (omitted anyway above "
                          "the exact-search bound on h)")

@@ -70,9 +70,11 @@ def crg_from_pairs(
     colored_pairs: Iterable[tuple[int, int, str]] = (),
     default: str = GRAY,
 ) -> Crg:
-    """Build a CRG from a default edge color plus explicit overrides."""
+    """Build a CRG from a default edge color plus overrides, each pair given at most once."""
+    if default not in EDGE_COLORS:
+        raise ParameterDomainError(f"bad default edge color {default!r}")
     n = len(vertex_colors)
-    edge_colors = [default] * (n * (n - 1) // 2)
+    edge_colors = [None] * (n * (n - 1) // 2)
     for i, j, color in colored_pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{n - 1}")
@@ -80,8 +82,14 @@ def crg_from_pairs(
             raise ParameterDomainError("no self-pairs in a CRG")
         if i > j:
             i, j = j, i
-        edge_colors[_pair_index(n, i, j)] = color
-    return Crg(n, tuple(vertex_colors), tuple(edge_colors))
+        k = _pair_index(n, i, j)
+        if edge_colors[k] is not None:
+            raise ParameterDomainError(f"pair ({i},{j}) given twice")
+        if color not in EDGE_COLORS:
+            raise ParameterDomainError(f"bad edge color {color!r}")
+        edge_colors[k] = color
+    colors = tuple(default if c is None else c for c in edge_colors)
+    return Crg(n, tuple(vertex_colors), colors)
 
 
 def color_swap(K: Crg) -> Crg:

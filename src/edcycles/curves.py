@@ -8,6 +8,9 @@ a = 0 branch simplifies to (1-p)/(ell(0)-1), which also serves as its value
 at p = 0.  The edit distance function itself equals gamma on the covered
 range: everywhere when t+1 does not divide h, and for p >= p0 otherwise;
 outside that range the value is reported as not covered, never guessed.
+gamma_closed and ed_closed are the only evaluators of the curve: the
+ordinary-cycle formula is their t = 1 case, and the three-term form is
+their large-h case, whose inequality the facts sweep checks.
 
 Every branch value comes from gfunction.g_krs, the g-function of the
 all-gray CRG K(a, c), so every closed form is an exact Fraction for every p
@@ -102,43 +105,6 @@ def ed_closed(params: PowerCycleParams, p: Number) -> Fraction | None:
 
 def ed_covered(params: PowerCycleParams, p: Number) -> bool:
     return not params.divisible or p >= params.p0
-
-
-def ed_cycles_closed(h: int, p: Number) -> Fraction | None:
-    """Edit distance of a forbidden ordinary cycle (t = 1), or None off-range.
-
-    Odd h: min of p/2 and the two rational branches, for all p.  Even h: the
-    two rational branches, for p at least 1/ceil(h/3).
-    """
-    if h < ed_h_min(1):
-        raise ParameterDomainError(f"cycle closed form needs h >= {ed_h_min(1)}, got {h}")
-    p = to_probability(p)
-    params = PowerCycleParams(h, 1)
-    l0, l1 = params.ell(0), params.ell(1)
-    middle = p * (1 - p) / ((1 - p) + (l1 - 1) * p)
-    last = (1 - p) / (l0 - 1)
-    if h % 2 == 0:
-        if p < Fraction(1, l1):
-            return None
-        return min(middle, last)
-    return min(p / 2, middle, last)
-
-
-def gamma_three_term(params: PowerCycleParams, p: Number) -> Fraction:
-    """The curve reduced to the a=0 and a=t branches (plus the chromatic one).
-
-    Valid once h >= 4t^2 + 10t + 24 (t >= 2): the middle branches are then
-    dominated everywhere by these two.
-    """
-    t = params.t
-    if t < 2:
-        raise ParameterDomainError("three-term reduction needs t >= 2")
-    if params.h < three_term_h_min(t):
-        raise ParameterDomainError(
-            f"three-term reduction needs h >= 4t^2+10t+24 = "
-            f"{three_term_h_min(t)}, got h={params.h}"
-        )
-    return min(g_krs(a, c, p) for _, a, c in branches(params) if a in (0, t, t + 1))
 
 
 def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) -> Fraction:

@@ -17,8 +17,8 @@ cross-validation against derived formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
-from typing import NamedTuple
 
 from .errors import ParameterDomainError
 from .gfunction import g_krs
@@ -76,25 +76,8 @@ def power_cycle_spectrum(params: PowerCycleParams) -> CliqueSpectrum:
     return clique_spectrum(params.graph())
 
 
-class GammaPoint(NamedTuple):
-    value: Number
-    branch: tuple[int, int]
-
-
-def gamma_with_branch(spec: CliqueSpectrum, p: Number) -> GammaPoint:
-    """Minimum of the all-gray closed form over extreme points, with its argmin.
-
-    Ties resolve to the lexicographically least (r, s).
-    """
+def gamma(spec: CliqueSpectrum, p: Number) -> Fraction:
+    """Minimum of the all-gray closed form g_krs over the extreme points."""
     if not spec.extreme_points:
         raise ParameterDomainError("empty spectrum has no gamma value")
-    best = None
-    for r, s in spec.extreme_points:  # already sorted lexicographically
-        value = g_krs(r, s, p)
-        if best is None or value < best.value:
-            best = GammaPoint(value, (r, s))
-    return best
-
-
-def gamma(spec: CliqueSpectrum, p: Number) -> Number:
-    return gamma_with_branch(spec, p).value
+    return min(g_krs(r, s, p) for r, s in spec.extreme_points)

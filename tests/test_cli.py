@@ -83,14 +83,14 @@ def test_curve_zero_samples_exits_2(capsys):
     assert json.loads(err)["error"] == "ParameterDomainError"
 
 
-def test_curve_empty_p_range_exits_2(capsys):
-    code, out, err = run(
-        capsys, "curve", "--h", "8", "--t", "1", "--samples", "1",
-        "--p-min", "3/5", "--no-search",
-    )
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "ParameterDomainError"
+@pytest.mark.parametrize("flags", [
+    ["--p", "1/2", "--samples", "5"],  # an explicit grid and a uniform one
+    ["--samples", "5", "--p", "1/2", "--p", "1/3"],
+    ["--p", "1/4", "--p-min", "1/2"],  # range filters no longer exist
+    ["--samples", "5", "--p-min", "1", "--p-max", "1/2"],
+])
+def test_curve_grid_flags_conflict_exits_2(capsys, flags):
+    assert_argument_error(capsys, "curve", "--h", "8", "--t", "1", *flags)
 
 
 def test_curve_byte_stable(capsys):
@@ -174,6 +174,18 @@ def test_g_crg_file_without_vertices_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ParameterDomainError"
+
+
+@pytest.mark.parametrize("crg", [
+    {"vertices": ["white", "black"], "edges": {"overrides": [[0, 1, "black"], [1, 0, "white"]]}},
+    {"vertices": ["white"], "edges": {"default": "purple"}},
+    {"vertices": ["white", "black", "black"],
+     "edges": {"default": "white", "overrides": [[1, 2, "gray"], [2, 1, "gray"]]}},
+], ids=["pair-twice", "bad-default-one-vertex", "same-pair-same-color"])
+def test_g_conflicting_crg_file_exits_2(capsys, tmp_path, crg):
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(crg))
+    assert_argument_error(capsys, "g", "--crg", str(path), "--p", "1/3")
 
 
 @pytest.mark.parametrize("flags", [["--p", "1/2"], ["--p", "0"], ["--p", "1"]])

@@ -163,6 +163,32 @@ def test_crg_from_pairs_rejects_out_of_range_index():
         crg_from_pairs((WHITE, BLACK, BLACK), [(-1, 1, WHITE)])
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1, BLACK), (1, 0, WHITE)],  # the same pair, reversed
+        [(0, 1, WHITE), (0, 1, WHITE)],  # the same pair and color
+        [(0, 2, GRAY), (1, 2, BLACK), (2, 0, BLACK)],
+    ],
+)
+def test_crg_from_pairs_rejects_a_pair_given_twice(pairs):
+    with pytest.raises(ParameterDomainError, match="given twice"):
+        crg_from_pairs((WHITE, BLACK, BLACK), pairs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("default", ["purple", None, WHITE.upper()])
+def test_crg_from_pairs_checks_the_default_at_any_size(n, default):
+    with pytest.raises(ParameterDomainError, match="default"):
+        crg_from_pairs((WHITE,) * n, default=default)
+
+
+def test_crg_from_pairs_refuses_a_null_override():
+    # an unset slot takes the default, so a null color must not pass as unset
+    with pytest.raises(ParameterDomainError, match="bad edge color None"):
+        crg_from_pairs((WHITE, BLACK), [(0, 1, None)])
+
+
 def test_crg_from_json_rejects_missing_vertices():
     with pytest.raises(ParameterDomainError):
         crg_from_json({"edges": {"default": GRAY, "overrides": []}})

@@ -18,13 +18,12 @@ from edcycles.curves import (
     default_p_grid,
     ed_closed,
     ed_covered,
-    ed_cycles_closed,
     gamma_closed,
     gamma_closed_with_branch,
-    gamma_three_term,
     max_point,
 )
 from edcycles.errors import NonConcavityError, ParameterDomainError
+from edcycles.gfunction import g_krs
 from edcycles.graphs import PowerCycleParams
 
 
@@ -81,46 +80,45 @@ def test_ed_closed_h_range():
         ed_closed(PowerCycleParams(12, 2), Fraction(1, 2))  # needs h >= 13
 
 
-def test_ed_cycles_closed_odd():
-    # ceil(7/3) = 3 and ceil(7/2) = 4 drive the three branches
-    p = Fraction(2, 5)
-    want = min(p / 2, p * (1 - p) / (1 - p + 2 * p), (1 - p) / 3)
-    assert ed_cycles_closed(7, p) == want
+def marchant_thomason(h, p):
+    """The forbidden-cycle edit distance of Marchant and Thomason (2010),
+    written out independently of the branch table: min of p/2 (odd h only)
+    and the two rational branches, and None for even h below 1/ceil(h/3)."""
+    l0, l1 = -(-h // 2), -(-h // 3)  # ell(0) and ell(1) at t = 1
+    middle = p * (1 - p) / ((1 - p) + (l1 - 1) * p)
+    last = (1 - p) / (l0 - 1)
+    if h % 2 == 0:
+        return None if p < Fraction(1, l1) else min(middle, last)
+    return min(p / 2, middle, last)
 
 
-def test_ed_cycles_closed_even():
-    assert ed_cycles_closed(6, Fraction(1, 2)) == Fraction(1, 4)
-    assert ed_cycles_closed(6, Fraction(1, 4)) is None  # below 1/ceil(h/3)
-    with pytest.raises(ParameterDomainError):
-        ed_cycles_closed(4, Fraction(1, 2))
-
-
-@pytest.mark.parametrize("h", [5, 7, 9, 11, 6, 8, 10, 12])
+@pytest.mark.parametrize("h", range(5, 41))
 def test_cycle_closed_form_instantiates_general_form(h):
     params = PowerCycleParams(h, 1)
-    for k in range(0, 21):
-        p = Fraction(k, 20)
-        value = ed_cycles_closed(h, p)
-        general = ed_closed(params, p)
-        assert value == general
+    grid = {Fraction(k, 60) for k in range(61)}
+    if h % 2 == 0:  # the coverage boundary and a point just below it
+        boundary = Fraction(1, -(-h // 3))
+        grid |= {boundary, boundary - Fraction(1, 10**6)}
+    for p in sorted(grid):
+        assert ed_closed(params, p) == marchant_thomason(h, p), p
+
+
+def test_cycle_closed_form_h_range():
+    with pytest.raises(ParameterDomainError):
+        ed_closed(PowerCycleParams(4, 1), Fraction(1, 2))  # needs h >= 5
 
 
 def test_three_term_matches_full_gamma():
-    params = PowerCycleParams(60, 2)
-    for k in range(1, 20):
-        p = Fraction(k, 20)
-        assert gamma_three_term(params, p) == gamma_closed(params, p)
+    # from h = 4t^2+10t+24 on, the rows a = 0, t (and the chromatic row
+    # a = t+1) give the whole curve; values are compared, since ties take
+    # the first row and so need not carry the same label
     grid = [Fraction(k, 100) for k in range(101)]
-    params2 = PowerCycleParams(97, 2)
-    for p in grid:
-        assert gamma_three_term(params2, p) == gamma_closed(params2, p)
-
-
-def test_three_term_range_errors():
-    with pytest.raises(ParameterDomainError):
-        gamma_three_term(PowerCycleParams(50, 1), Fraction(1, 2))
-    with pytest.raises(ParameterDomainError):
-        gamma_three_term(PowerCycleParams(59, 2), Fraction(1, 2))
+    for t in (2, 3):
+        for h in range(4 * t * t + 10 * t + 24, 121):
+            params = PowerCycleParams(h, t)
+            rows = [(a, c) for _, a, c in branches(params) if a in (0, t, t + 1)]
+            for p in grid:
+                assert gamma_closed(params, p) == min(g_krs(a, c, p) for a, c in rows)
 
 
 def test_black_part_bound_examples():

@@ -7,13 +7,13 @@ import pytest
 from test_graphs import brute_partitionable
 
 from edcycles import spectrum
+from edcycles.curves import gamma_closed_with_branch
 from edcycles.errors import ParameterDomainError
 from edcycles.gfunction import g_krs
 from edcycles.graphs import Graph, PowerCycleParams, partitionable
 from edcycles.spectrum import (
     clique_spectrum,
     gamma,
-    gamma_with_branch,
     power_cycle_spectrum,
 )
 
@@ -106,11 +106,10 @@ def test_extreme_points_incomparable():
 
 
 def test_gamma_c5_at_half():
-    spec = power_cycle_spectrum(PowerCycleParams(5, 1))
-    point = gamma_with_branch(spec, Fraction(1, 2))
-    assert point.value == Fraction(1, 4)
-    # all three branches tie at 1/4; the lexicographically least wins
-    assert point.branch == (0, 2)
+    params = PowerCycleParams(5, 1)
+    assert gamma(power_cycle_spectrum(params), Fraction(1, 2)) == Fraction(1, 4)
+    # all three branches tie at 1/4; the closed form labels the tie by its first row
+    assert gamma_closed_with_branch(params, Fraction(1, 2)) == (Fraction(1, 4), "a=0")
 
 
 def test_gamma_full_spectrum_equals_extreme_only():
@@ -151,6 +150,14 @@ def test_gamma_rejects_p_outside_unit_interval(p):
 
 def test_gamma_branch_switches():
     spec = power_cycle_spectrum(PowerCycleParams(8, 1))
-    # branch switches from the (1, ell(1)-1) pair to the (0, ell(0)-1) pair
-    assert gamma_with_branch(spec, Fraction(1, 4)).branch == (1, 2)
-    assert gamma_with_branch(spec, Fraction(3, 4)).branch == (0, 3)
+    # the minimum moves from the (1, ell(1)-1) pair to the (0, ell(0)-1) pair
+    low, high = Fraction(1, 4), Fraction(3, 4)
+    assert gamma(spec, low) == g_krs(1, 2, low) < g_krs(0, 3, low)
+    assert gamma(spec, high) == g_krs(0, 3, high) < g_krs(1, 2, high)
+
+
+def test_gamma_refuses_empty_spectrum():
+    spec = clique_spectrum(Graph.from_edges(0, []))
+    assert spec.extreme_points == ()
+    with pytest.raises(ParameterDomainError, match="empty spectrum"):
+        gamma(spec, Fraction(1, 2))
