@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,15 @@ def _rational(text: str) -> Fraction:
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
-    """Argument errors raise, so they leave through main's JSON error path."""
+    """Argument errors raise, so they leave through main's JSON error path.
+
+    A negative ratio such as -1/2 reads as a value, like -1 and -0.5, so an
+    out-of-range p gets the range refusal, not a missing-argument error.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         raise ParameterDomainError(message)

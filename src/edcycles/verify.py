@@ -45,13 +45,12 @@ COMPONENT_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
-    """Maximal elements of {(a, ell(a)-1)} plus the chromatic pair (chi-1, 0)."""
-    candidates = {(a, params.ell(a) - 1) for a in range(params.t + 1)}
-    candidates.add((params.chi - 1, 0))
+    """Maximal pairs (a, c) of the closed-form branch table, in order."""
+    pairs = {(a, c) for _, a, c in curves.branches(params)}
     return sorted(
-        (r, s)
-        for (r, s) in candidates
-        if not any((r2 >= r and s2 >= s and (r2, s2) != (r, s)) for r2, s2 in candidates)
+        (a, c)
+        for (a, c) in pairs
+        if not any(a2 >= a and c2 >= c and (a2, c2) != (a, c) for a2, c2 in pairs)
     )
 
 

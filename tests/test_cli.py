@@ -213,6 +213,17 @@ def test_g_has_no_mode_flags(capsys, flag):
     assert_argument_error(capsys, "g", "--krs", "1", "1", "--p", "1/3", flag)
 
 
+@pytest.mark.parametrize(
+    "command", [["curve", "--h", "9", "--t", "1"], ["g", "--krs", "1", "1"]], ids=["curve", "g"]
+)
+def test_negative_ratio_p_gets_the_range_refusal(capsys, command):
+    # -1/2 is a value, not an option: the space form refuses it as --p=-1/2 does
+    code, out, err = run(capsys, *command, "--p", "-1/2")
+    assert (code, out, err) == run(capsys, *command, "--p=-1/2")
+    assert code == 2
+    assert json.loads(err)["error"] == "ParameterDomainError"
+
+
 def test_curve_has_no_search_flag(capsys):
     # the search column is on whenever h allows it; only --no-search remains
     assert_argument_error(capsys, "curve", "--h", "8", "--t", "1", "--search")
