@@ -42,7 +42,9 @@ class _JsonErrorParser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+/\d+$"
+        )
 
     def error(self, message):
         raise ParameterDomainError(message)

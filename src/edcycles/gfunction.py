@@ -33,9 +33,10 @@ or not, because that support carries no zero weight (see
 _stationary_points), so it is its minimizer's positive support and is never
 pruned.
 
-mode="numeric" is a float local search, projected gradient descent with
-restarts (edcycles.numeric); it can stop above the optimum on a rate form
-that is not convex.  Every other route computes in integers and Fractions.
+Numeric mode runs projected gradient descent from each simplex vertex and
+from the uniform point, with step halving.  The rate form need not be
+convex, so this is a float local search: it can stop above the optimum, and
+the exact sweep is the reference.
 """
 
 from __future__ import annotations
@@ -45,11 +46,19 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Sequence
 
+import numpy as np
+
 from .crg import BLACK, GRAY, WHITE, Crg, color_swap, component_sets, rate_matrix
-from .errors import ParameterDomainError, SizeExceededError
+from .errors import (
+    NonConvergenceError,
+    ParameterDomainError,
+    SizeExceededError,
+)
 from .rationals import Number, number_str, to_fraction, to_probability
 
 EXACT_SWEEP_BOUND = 14
+NUMERIC_TOL = 1e-12
+NUMERIC_ITERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class GValue:
     value: Number
     weights: tuple[Number, ...]
     support: tuple[int, ...]
-    mode: str  # "exact" (Fractions) | "numeric" (a float local minimum)
+    mode: str  # "exact" | "numeric"
 
     def to_json(self, p: Number) -> dict:
         return {
@@ -188,16 +197,101 @@ def _recombined_min(rates, scale: int, blocks):
     return Fraction(1) / sum(Fraction(1) / value for value, _, _ in pieces), pieces
 
 
+def _project_simplex(x: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex."""
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(x) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(x - theta, 0.0)
+
+
+def _polish_on_support(M: np.ndarray, x: np.ndarray, fx: float):
+    """Snap a near-optimal point to the stationary point of its face.
+
+    Gradient descent identifies the right face long before it pins the value
+    down, so solve M_S y = 1 on a few thresholded supports and keep the best
+    feasible rescaling.
+    """
+    best_value, best_x = fx, x
+    n = len(x)
+    for threshold in (1e-3, 1e-6, 1e-9):
+        support = np.nonzero(x > threshold)[0]
+        if len(support) == 0:
+            continue
+        try:
+            y = np.linalg.solve(M[np.ix_(support, support)], np.ones(len(support)))
+        except np.linalg.LinAlgError:
+            continue
+        if (y < -1e-12).any():
+            continue
+        y = np.clip(y, 0.0, None)
+        total = y.sum()
+        if total <= 0:
+            continue
+        cand = np.zeros(n)
+        cand[support] = y / total
+        fc = float(cand @ M @ cand)
+        if fc < best_value:
+            best_value, best_x = fc, cand
+    return best_value, best_x
+
+
+def _numeric_min(M: np.ndarray):
+    """Projected gradient descent with per-vertex and uniform restarts."""
+    n = M.shape[0]
+    starts = [np.full(n, 1.0 / n)]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        starts.append(e)
+
+    def objective(x: np.ndarray) -> float:
+        return float(x @ M @ x)
+
+    best_value, best_x = None, None
+    for x in starts:
+        fx = objective(x)
+        alpha = 1.0
+        converged = False
+        for _ in range(NUMERIC_ITERATION_CAP):
+            grad = 2.0 * (M @ x)
+            moved = False
+            while alpha > 1e-18:
+                cand = _project_simplex(x - alpha * grad)
+                fc = objective(cand)
+                if fc < fx:
+                    moved = True
+                    break
+                alpha *= 0.5
+            if not moved:
+                converged = True  # step size exhausted: stationary to precision
+                break
+            delta = fx - fc
+            x, fx = cand, fc
+            alpha = min(alpha * 2.0, 1e3)
+            if delta < NUMERIC_TOL:
+                converged = True
+                break
+        if not converged:
+            raise NonConvergenceError(
+                f"projected gradient did not converge within {NUMERIC_ITERATION_CAP} iterations"
+            )
+        fx, x = _polish_on_support(M, x, fx)
+        if best_value is None or fx < best_value:
+            best_value, best_x = fx, x
+    return best_value, best_x
+
+
 def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -> GValue:
     """Global minimum of the rate form over the standard simplex.
 
     p must lie strictly inside (0, 1); a float is converted to its exact
-    rational value.  EXACT_SWEEP_BOUND holds per independently solved block:
-    per component when decompose=True, on the whole CRG otherwise.  Setting
-    decompose=False solves the joint program by brute support enumeration,
-    which is what lets tests confirm the reciprocal-sum component identity
-    rather than assume it.  mode="numeric" returns a local minimum in floats,
-    found by edcycles.numeric on the whole CRG, with no size bound.
+    rational value.  Exact mode enforces EXACT_SWEEP_BOUND per
+    independently-solved block: per component when decompose=True, on the
+    whole CRG otherwise.  Setting decompose=False solves the joint program by
+    brute support enumeration, which is what lets tests confirm the
+    reciprocal-sum component identity rather than assume it.
     """
     if mode not in ("exact", "numeric"):
         raise ParameterDomainError(f"unknown mode {mode!r}")
@@ -207,9 +301,12 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
             "g_value needs 0 < p < 1; use g_endpoint for p in {0, 1}"
         )
     if mode == "numeric":
-        from .numeric import numeric_min  # numpy loads with this mode only
-
-        return GValue(*numeric_min(*rate_matrix(K, float(p))), mode)
+        rows, b = rate_matrix(K, float(p))
+        M = np.array([[x / b for x in row] for row in rows])  # correctly rounded
+        value, x = _numeric_min(M)
+        weights = tuple(float(w) for w in x)
+        support = tuple(i for i, w in enumerate(weights) if w > NUMERIC_TOL)
+        return GValue(value, weights, support, "numeric")
     rates, scale = rate_matrix(K, p)
     blocks = component_sets(K) if decompose else [tuple(range(K.n))]
     g, pieces = _recombined_min(rates, scale, blocks)
@@ -221,7 +318,7 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
             weights[v] = w * scale
             if weights[v] > 0:
                 support.append(v)
-    return GValue(g, tuple(weights), tuple(sorted(support)), mode)
+    return GValue(g, tuple(weights), tuple(sorted(support)), "exact")
 
 
 def g_endpoint(K: Crg, p: Number) -> Fraction:

@@ -2,13 +2,9 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from operator import itemgetter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,17 +228,6 @@ def test_numeric_mode_takes_the_exact_domain():
             g_value(k_rs(1, 1), p, mode="numeric")
     with pytest.raises(ParameterDomainError, match="unknown mode"):
         g_value(k_rs(1, 1), Fraction(1, 2), mode="float")
-
-
-def test_import_loads_no_numpy():
-    # numpy is loaded by numeric mode only, so the exact routes need no numpy
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, edcycles; print('numpy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert result.stdout.strip() == "False"
 
 
 def test_exact_mode_rejects_endpoints_and_oversize():
