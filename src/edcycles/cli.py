@@ -74,11 +74,12 @@ def _load_json(path: str):
 
 
 def _graph_from_args(args):
-    if args.graph is not None:
+    cycle = (args.h, args.t)
+    if args.graph is not None and cycle == (None, None):
         return graph_from_json(_load_json(args.graph))
-    if args.h is None or args.t is None:
-        raise ParameterDomainError("give either --graph FILE or both --h and --t")
-    return power_cycle(args.h, args.t)
+    if args.graph is None and None not in cycle:
+        return power_cycle(args.h, args.t)
+    raise ParameterDomainError("give either --graph FILE or both --h and --t")
 
 
 def _add_common(sub, graph_input=False):
@@ -122,12 +123,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_g(args) -> int:
-    if args.crg is not None:
-        K = crg_from_json(_load_json(args.crg))
-    elif args.krs is not None:
-        K = k_rs(*args.krs)
-    else:
-        raise ParameterDomainError("give either --crg FILE or --krs R S")
+    K = crg_from_json(_load_json(args.crg)) if args.crg is not None else k_rs(*args.krs)
     p = args.p
     if p in (0, 1):
         value = g_endpoint(K, int(p))
@@ -187,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_g = subs.add_parser("g", help="g-function value of a CRG")
-    p_g.add_argument("--crg", default=None, help="CRG JSON file")
-    p_g.add_argument("--krs", type=int, nargs=2, default=None, metavar=("R", "S"),
-                     help="all-gray CRG with R white and S black vertices")
+    crg_input = p_g.add_mutually_exclusive_group(required=True)
+    crg_input.add_argument("--crg", default=None, help="CRG JSON file")
+    crg_input.add_argument("--krs", type=int, nargs=2, default=None, metavar=("R", "S"),
+                           help="all-gray CRG with R white and S black vertices")
     p_g.add_argument("--p", type=_rational, required=True)
     _add_common(p_g)
     p_g.set_defaults(func=cmd_g)

@@ -22,16 +22,18 @@ the integer vector u = d * A_T^-1 1 with every division exact.  The face is
 feasible when no u_i is negative, its value is g = d / (b * sum(u)) and its
 weights are u / sum(u); Fractions are built only for the winning support.
 
-Supports that cannot hold a minimizer are never solved.  Call vertices i
-and j a clashing pair when A_ii + A_jj < 2 A_ij.  At a minimizer x* whose
-positive support holds both, z = e_i - e_j is a feasible direction either
-way, stationarity gives z^T A x* = 0, and so f(x* + e z) = f(x*) +
-e^2 z^T A z < f(x*) for small e != 0.  No minimizer's positive support
-therefore holds a clashing pair, and the sweep solves only the supports that
-hold none.  The winner keeps the lowest bitmask among all supports, pruned
-or not, because that support carries no zero weight (see
-_stationary_points), so it is its minimizer's positive support and is never
-pruned.
+Supports that cannot hold the winner are never solved.  Call vertices i
+and j a clashing pair when A_ii + A_jj < 2 A_ij, and a tied pair when
+A_ii + A_jj = 2 A_ij.  At a minimizer x* whose positive support holds both,
+z = e_i - e_j is a feasible direction either way, stationarity gives
+z^T A x* = 0, and so f(x* + e z) = f(x*) + e^2 z^T A z.  For a clashing pair
+that is below f(x*) for small e != 0, so no minimizer's positive support
+holds one.  For a tied pair it stays f(x*) until one of the two weights
+reaches zero, so a smaller support holds a minimizer too.  The winner, the
+lowest bitmask of least value among all supports, carries no zero weight,
+so it is its minimizer's positive support and holds neither kind of pair
+(see _stationary_points).  The sweep therefore solves only the supports
+that hold no clashing or tied pair, and picks the same winner.
 
 Numeric mode runs projected gradient descent from each simplex vertex and
 from the uniform point, with step halving.  The rate form need not be
@@ -118,7 +120,7 @@ def _solve_face(rates, support: Sequence[int]):
 
 def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
     """Bitmasks over the given vertices of every nonempty support that holds
-    no clashing pair (A_ii + A_jj < 2 A_ij), in increasing order.
+    no clashing or tied pair (A_ii + A_jj <= 2 A_ij), in increasing order.
 
     Every exact route sweeps these faces, so EXACT_SWEEP_BOUND is checked
     here, before any face is solved.  The supports over the first i vertices
@@ -135,7 +137,7 @@ def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
         clash = sum(
             1 << j
             for j, w in enumerate(vertices[:i])
-            if rates[v][v] + rates[w][w] < 2 * rates[v][w]
+            if rates[v][v] + rates[w][w] <= 2 * rates[v][w]
         )
         faces += [f | 1 << i for f in faces if f & clash == 0]
     return faces[1:]
@@ -159,9 +161,17 @@ def _stationary_points(rates, scale: int, vertices: Sequence[int], faces: Sequen
     contradiction.  When sum(w) = 0 the value stays g along w up to a new
     zero entry; repeat on that smaller support, which ends at an invertible
     A_P by a single vertex at the latest.  Either way a lower bitmask ties, a
-    contradiction.  So that winner is its minimizer's positive support, holds
-    no clashing pair, and survives the pruning, which only drops candidates:
-    the sweep over _clash_free_faces picks the same support.
+    contradiction.  So that winner W is its minimizer's positive support, and
+    it holds no clashing pair (see the module docstring).
+
+    Nor does W hold a tied pair, A_ii + A_jj = 2 A_ij.  Say i, j in W were
+    one, and let z = e_i - e_j.  Then z^T A x* = 0 by stationarity, so
+    f(x* + e z) = g + e^2 (A_ii + A_jj - 2 A_ij) = g, and f stays g along z
+    until x_j reaches zero.  That point is a global minimizer whose positive
+    support is a proper subset of W, and by the argument above some subset of
+    that support ties at a lower bitmask than W: a contradiction.  So W
+    survives the pruning, which only drops candidates, and the sweep over
+    _clash_free_faces picks the same support.
     """
     m = len(vertices)
     for bits in faces:
@@ -289,9 +299,9 @@ def g_value(K: Crg, p: Number, mode: str = "exact", *, decompose: bool = True) -
     p must lie strictly inside (0, 1); a float is converted to its exact
     rational value.  Exact mode enforces EXACT_SWEEP_BOUND per
     independently-solved block: per component when decompose=True, on the
-    whole CRG otherwise.  Setting decompose=False solves the joint program by
-    brute support enumeration, which is what lets tests confirm the
-    reciprocal-sum component identity rather than assume it.
+    whole CRG otherwise.  Setting decompose=False sweeps the supports of the
+    joint program, which is what lets tests confirm the reciprocal-sum
+    component identity rather than assume it.
     """
     if mode not in ("exact", "numeric"):
         raise ParameterDomainError(f"unknown mode {mode!r}")
@@ -392,12 +402,15 @@ def is_p_core(K: Crg, p: Number) -> bool:
     Every proper induced sub-CRG is a face that misses some vertex, so K is a
     p-core exactly when its full face has a nonnegative stationary point that
     beats every proper face by more than the margin.  The full face is solved
-    first: when it is singular, has a negative entry or holds a clashing pair
-    (then its stationary point is no minimizer, and a proper face does at
-    least as well), K is no p-core.  Otherwise the clash-free proper faces
-    are swept, and the first whose value ties or beats it within the margin
+    first: when it is singular, has a negative entry or holds a clashing or
+    tied pair, K is no p-core.  With a clashing pair its stationary point is
+    no minimizer, so a proper face does better.  With a tied pair either it
+    is no minimizer, or the value stays flat along e_i - e_j down to a proper
+    face; either way a proper face ties or beats it, so the verdict is False
+    under the float margin too.  Otherwise the remaining proper faces are
+    swept, and the first whose value ties or beats it within the margin
     decides; the least of them is the least of all proper sub-CRG values, as
-    each sub-CRG's optimum sits on a clash-free face.
+    each sub-CRG's winning support is among them.
     """
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
@@ -406,7 +419,7 @@ def is_p_core(K: Crg, p: Number) -> bool:
     rates, scale = rate_matrix(K, p)
     vertices = range(K.n)
     faces = _clash_free_faces(rates, vertices)
-    full = faces.pop()  # the full face, unless it holds a clashing pair
+    full = faces.pop()  # the full face, unless it holds a clashing or tied pair
     if full != (1 << K.n) - 1:
         return False
     solved = next(_stationary_points(rates, scale, vertices, [full]), None)

@@ -208,6 +208,26 @@ def test_g_krs_shortcut_is_exact(capsys):
     assert blob["g"] == "2/9"
 
 
+def test_g_needs_exactly_one_crg_input(capsys, tmp_path):
+    path = tmp_path / "k11.json"
+    path.write_text(json.dumps(crg_to_json(k_rs(1, 1))))
+    crg, krs = ["--crg", str(path)], ["--krs", "2", "3"]
+    for inputs in (crg + krs, krs + crg, []):
+        assert_argument_error(capsys, "g", *inputs, "--p", "1/3")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "embed"])
+@pytest.mark.parametrize("flags", [["--h", "5", "--t", "1"], ["--h", "5"], ["--t", "1"]],
+                         ids=["h-and-t", "h", "t"])
+def test_graph_file_with_cycle_flags_exits_2(capsys, tmp_path, command, flags):
+    graph = tmp_path / "c5.json"
+    graph.write_text(json.dumps(graph_to_json(power_cycle(5, 1))))
+    crg = tmp_path / "k11.json"
+    crg.write_text(json.dumps(crg_to_json(k_rs(1, 1))))
+    extra = ["--crg", str(crg)] if command == "embed" else []
+    assert_argument_error(capsys, command, "--graph", str(graph), *flags, *extra)
+
+
 @pytest.mark.parametrize("flag", ["--mode", "--exact", "--numeric"])
 def test_g_has_no_mode_flags(capsys, flag):
     assert_argument_error(capsys, "g", "--krs", "1", "1", "--p", "1/3", flag)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edcycles import gfunction
 from edcycles.crg import (
     BLACK,
     EDGE_COLORS,
@@ -31,6 +32,7 @@ from edcycles.crg import (
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import (
     GValue,
+    _clash_free_faces,
     _solve_face,
     degree_report,
     g_endpoint,
@@ -439,21 +441,36 @@ def reference_is_p_core(K, p) -> bool:
     return g_full is not None and (g_rest is None or g_rest - g_full > margin)
 
 
-def clashing_pairs(K, p, support):
+def clashing_or_tied_pairs(K, p, support):
     M, _ = rate_matrix(K, p)
     return [
-        (i, j) for i, j in itertools.combinations(support, 2) if M[i][i] + M[j][j] < 2 * M[i][j]
+        (i, j) for i, j in itertools.combinations(support, 2) if M[i][i] + M[j][j] <= 2 * M[i][j]
     ]
 
 
-def test_pruned_sweep_matches_unpruned_reference():
-    # The sweep skips every support holding a clashing pair, and is_p_core
-    # decides from the full face first; neither may change a value, a weight,
-    # a support or a verdict against the sweep over all 2^n - 1 supports.
+@pytest.fixture
+def solved_faces(monkeypatch):
+    """The supports handed to gfunction._solve_face, in call order."""
+    solved = []
+
+    def recording(rates, support):
+        solved.append(list(support))
+        return _solve_face(rates, support)
+
+    monkeypatch.setattr(gfunction, "_solve_face", recording)
+    return solved
+
+
+def test_pruned_sweep_matches_unpruned_reference(solved_faces):
+    # The sweep skips every support holding a clashing or tied pair, and
+    # is_p_core decides from the full face first; neither may change a value,
+    # a weight, a support or a verdict against the sweep over all 2^n - 1
+    # supports.  The unpruned winner itself holds neither kind of pair, and
+    # is_p_core solves nothing when the full face holds one.
     rng = random.Random(2027)
     ps = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101), 0.3)
     verdicts = {True: 0, False: 0}
-    clashing = 0
+    pruned_full = 0
     for k in range(2016):
         n, p = rng.randint(1, 7), ps[k % len(ps)]
         style = k // len(ps) % 3
@@ -468,12 +485,80 @@ def test_pruned_sweep_matches_unpruned_reference():
         blocks = component_sets(K)
         decomposed = joint if len(blocks) == 1 else reference_g_value(K, p, blocks)
         assert g_value(K, p) == decomposed, (K, p)
+        solved_faces.clear()
         verdict = is_p_core(K, p)
         assert verdict == reference_is_p_core(K, p), (K, p)
         verdicts[verdict] += 1
-        assert clashing_pairs(K, p, joint.support) == []
-        clashing += bool(clashing_pairs(K, p, range(K.n)))
-    assert min(verdicts.values()) > 100 and clashing > 500, (verdicts, clashing)
+        assert clashing_or_tied_pairs(K, p, joint.support) == []
+        if clashing_or_tied_pairs(K, p, range(K.n)):
+            assert solved_faces == [], (K, p)
+            pruned_full += 1
+    assert min(verdicts.values()) > 100 and pruned_full > 500, (verdicts, pruned_full)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(37, 101), 0.3], ids=str)
+def test_sweep_lists_exactly_the_faces_without_clashing_or_tied_pairs(p):
+    rng = random.Random(f"faces:{p}")
+    tied = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        K = random_crg(rng, n, gray_weight=rng.choice((1.0, 4.0)))
+        rates, _ = rate_matrix(K, p)
+        pairs = list(itertools.combinations(range(n), 2))
+        tied += sum(rates[i][i] + rates[j][j] == 2 * rates[i][j] for i, j in pairs)
+        expected = [
+            bits
+            for bits in range(1, 1 << n)
+            if not any(
+                bits >> i & 1 and bits >> j & 1 and rates[i][i] + rates[j][j] <= 2 * rates[i][j]
+                for i, j in pairs
+            )
+        ]
+        assert _clash_free_faces(rates, range(n)) == expected, (K, p)
+    assert tied > 0
+
+
+def independent_set_count(n, edges) -> int:
+    """Independent sets, the empty one included, of a graph on 0..n-1, by
+    splitting on the last vertex: leave it out, or take it and drop its
+    neighbours."""
+
+    def count(vertices):
+        if not vertices:
+            return 1
+        v, rest = vertices[-1], vertices[:-1]
+        return count(rest) + count([u for u in rest if frozenset((u, v)) not in edges])
+
+    return count(list(range(n)))
+
+
+def test_sweep_at_one_half_lists_the_independent_sets_of_the_non_gray_graph():
+    # At p = 1/2 every diagonal entry and every white or black entry of b*M
+    # is 1, so each non-gray edge is a tied pair and each gray edge (entry 0)
+    # is neither tied nor clashing.
+    rng = random.Random(1812)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        K = random_crg(rng, n, gray_weight=rng.choice((0.5, 1.0, 4.0)))
+        edges = {frozenset((i, j)) for i, j, color in K.pairs() if color != GRAY}
+        faces = _clash_free_faces(rate_matrix(K, Fraction(1, 2))[0], range(n))
+        assert len(faces) == independent_set_count(n, edges) - 1, K
+        for bits in faces:
+            support = [i for i in range(n) if bits >> i & 1]
+            assert not any(frozenset(e) in edges for e in itertools.combinations(support, 2))
+
+
+def test_tied_full_face_is_no_p_core_without_a_solve(solved_faces):
+    # Two white vertices on a white edge: A_ii + A_jj = 2 A_ij and the rate
+    # form is p at every point of the simplex, so a single vertex ties the
+    # full face.
+    K = crg_from_pairs([WHITE, WHITE], [(0, 1, WHITE)])
+    p = Fraction(1, 3)
+    assert clashing_or_tied_pairs(K, p, range(2)) == [(0, 1)]
+    assert g_value(K, p).value == p
+    solved_faces.clear()
+    assert is_p_core(K, p) is False
+    assert solved_faces == []
 
 
 @st.composite

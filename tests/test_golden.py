@@ -4,6 +4,8 @@ Each file holds the stdout of one command as the package printed it when
 the file was written, so a change that moves any printed digit, key, label
 or row fails here, not only a change between two runs of the same code.
 verify prints its wall-clock elapsed_s, which is masked on both sides.
+miss_crg.json is an input: a 10-vertex CRG whose pairs include tied ones
+(A_ii + A_jj = 2 A_ij) at both p its g commands are run at.
 """
 
 import re
@@ -20,6 +22,8 @@ COMMANDS = {
     "maxpoint_h41_t4.json": ["maxpoint", "--h", "41", "--t", "4"],
     "spectrum_h13_t2.json": ["spectrum", "--h", "13", "--t", "2"],
     "g_krs_2_3_p_1-3.json": ["g", "--krs", "2", "3", "--p", "1/3"],
+    "g_miss_crg_p_1-4.json": ["g", "--crg", str(GOLDEN / "miss_crg.json"), "--p", "1/4"],
+    "g_miss_crg_p_1-2.json": ["g", "--crg", str(GOLDEN / "miss_crg.json"), "--p", "1/2"],
     "curve_h9_t1_samples11.csv": ["curve", "--h", "9", "--t", "1", "--samples", "11"],
     "curve_h15_t2_p_1-7_3-10.json": [
         "curve", "--h", "15", "--t", "2", "--p", "1/7", "--p", "3/10", "--format", "json",
