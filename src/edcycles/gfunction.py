@@ -36,9 +36,12 @@ so it is its minimizer's positive support and holds neither kind of pair
 that hold no clashing or tied pair, and picks the same winner.
 
 Numeric mode runs projected gradient descent from each simplex vertex and
-from the uniform point, with step halving.  The rate form need not be
-convex, so this is a float local search: it can stop above the optimum, and
-the exact sweep is the reference.
+from the uniform point, with step halving.  A start stops once its
+Frank-Wolfe gap x.grad - min(grad) is at most NUMERIC_TOL: then x is
+stationary to that tolerance, and on a convex form no point of the simplex
+lies more than the gap below it, so halving the step further only burns
+projections.  The rate form need not be convex, so this is a float local
+search: it can stop above the optimum, and the exact sweep is the reference.
 """
 
 from __future__ import annotations
@@ -266,6 +269,9 @@ def _numeric_min(M: np.ndarray):
         converged = False
         for _ in range(NUMERIC_ITERATION_CAP):
             grad = 2.0 * (M @ x)
+            if x @ grad - grad.min() <= NUMERIC_TOL:
+                converged = True  # Frank-Wolfe gap closed: stationary to tolerance
+                break
             moved = False
             while alpha > 1e-18:
                 cand = _project_simplex(x - alpha * grad)

@@ -224,6 +224,17 @@ def test_exact_numeric_agreement_on_corpus():
             assert abs(float(exact) - numeric) <= 1e-9, (K, p)
 
 
+def test_numeric_start_with_closed_gap_takes_no_step(monkeypatch):
+    # On one vertex both starts are the optimum, whose Frank-Wolfe gap is 0:
+    # no step is tried, where step halving would project about 60 times.
+    projections = []
+    project = gfunction._project_simplex
+    monkeypatch.setattr(gfunction, "_project_simplex", lambda x: projections.append(x) or project(x))
+    gv = g_value(k_rs(1, 0), Fraction(1, 4), mode="numeric")
+    assert projections == []
+    assert gv.value == 0.25 and gv.weights == (1.0,)
+
+
 def test_numeric_mode_takes_the_exact_domain():
     for p in (0, 1, Fraction(-1, 2), Fraction(3, 2)):
         with pytest.raises(ParameterDomainError):
