@@ -36,7 +36,6 @@ from .curves import (
     gamma_closed,
     gamma_closed_with_branch,
     max_point,
-    verify_facts,
 )
 from .embed import (
     GrayCycleReport,

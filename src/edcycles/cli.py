@@ -27,10 +27,19 @@ from .spectrum import clique_spectrum, gamma, power_cycle_spectrum
 
 
 def _rational(text: str) -> Fraction:
+    """A rational from its text.  Like _load_json, it refuses a number past
+    Python's int-to-string digit limit, and an exponent past that limit
+    before 10**exponent, which can take seconds, is built."""
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError("exponent past the digit limit")
+        value = Fraction(text)
+        number_str(value)  # raises SizeExceededError, a ValueError, past the limit
+        return value
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a printable rational number: {text!r}") from exc
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
@@ -150,7 +159,7 @@ def cmd_maxpoint(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite.replace("-", "_"),)
+    names = verify.SUITES if args.suite == "all" else (args.suite.replace("-", "_"),)
     report = verify.run_suites(names)
     _emit_json(report, args.out)
     return 0 if report["ok"] else 1
@@ -206,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=("all", *(name.replace("_", "-") for name in verify.SUITE_NAMES)),
+        choices=("all", *(name.replace("_", "-") for name in verify.SUITES)),
         default="all",
     )
     _add_common(p_verify)

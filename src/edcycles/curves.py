@@ -1,5 +1,4 @@
-"""Closed-form curves for forbidden cycle powers, their maxima, and the
-supporting integer facts.
+"""Closed-form curves for forbidden cycle powers and their maxima.
 
 The upper-bound curve gamma is a pointwise minimum of one rational branch
 per independent-set count a (the branch through the pair (a, ell(a)-1)) and,
@@ -10,20 +9,16 @@ range: everywhere when t+1 does not divide h, and for p >= p0 otherwise;
 outside that range the value is reported as not covered, never guessed.
 gamma_closed and ed_closed are the only evaluators of the curve: the
 ordinary-cycle formula is their t = 1 case, and the three-term form is
-their large-h case, whose inequality the facts sweep checks.
+their large-h case, whose inequality the facts sweep in verify checks.
 
 Every branch value comes from gfunction.g_krs, the g-function of the
 all-gray CRG K(a, c), so every closed form is an exact Fraction for every p
-in [0, 1]; a float p is converted to its exact binary value first.  The fact
-sweeps below clear denominators so that every comparison is an integer
-comparison.  The two linearity facts compare branches over a p-interval;
-cross-multiplied, each comparison is linear in p, so the sweep tests it at
-the two ends of the interval, which decides it at every p between.
+in [0, 1]; a float p is converted to its exact binary value first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import nextafter, sqrt
@@ -31,27 +26,16 @@ from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
 from .gfunction import g_krs
-from .graphs import PowerCycleParams, gray_window_h_min
-from .rationals import Number, to_fraction, to_probability
+from .graphs import PowerCycleParams
+from .rationals import Number, number_str, to_fraction, to_probability
 
-MAX_STORED_FAILURES = 20
 MAX_POINT_TOL = 1e-12
 CONCAVITY_SAMPLES = 101
-THREE_TERM_T = (2, 3)  # powers t whose three-term reduction the facts sweep checks
-# the facts sweep's fixed ranges: h, t, x and y from 1
-FACTS_H_MAX = 400
-FACTS_T_MAX = 8
-FACTS_XY_MAX = 60
 
 
 def ed_h_min(t: int) -> int:
     """2t(t+1)+1, the least h at which ed equals the closed form at all."""
     return 2 * t * (t + 1) + 1
-
-
-def three_term_h_min(t: int) -> int:
-    """4t^2+10t+24, from which the three-term reduction holds (t >= 2)."""
-    return 4 * t * t + 10 * t + 24
 
 
 @cache
@@ -75,11 +59,9 @@ def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Fracti
 
 
 def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Fraction, str]:
-    best_label, best = None, None
-    for label, value in branch_values(params, p):
-        if best is None or value < best:
-            best_label, best = label, value
-    return best, best_label
+    """The least branch value at p and its label; the first branch wins a tie."""
+    label, value = min(branch_values(params, p), key=lambda branch: branch[1])
+    return value, label
 
 
 def gamma_closed(params: PowerCycleParams, p: Number) -> Fraction:
@@ -169,8 +151,6 @@ class CurveSample:
     covered: bool  # p inside the range where the equality holds
 
     def to_json(self) -> dict:
-        from .rationals import number_str
-
         return {
             "p": number_str(self.p),
             "gamma": number_str(self.gamma),
@@ -293,167 +273,3 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
     else:
         p_star = max(points, key=lambda q: gamma_closed(params, q))
     return MaxPoint(float(p_star), float(gamma_closed(params, p_star)), "closed-form")
-
-
-@dataclass
-class FactCheck:
-    """Tally of one arithmetic fact over its sweep."""
-
-    name: str
-    checked: int = 0
-    failure_count: int = 0
-    failures: list[tuple] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        """A fact passes when it was checked at least once and never failed."""
-        return self.checked > 0 and self.failure_count == 0
-
-    def record(self) -> None:
-        self.checked += 1
-
-    def fail(self, witness: tuple) -> None:
-        self.failure_count += 1
-        if len(self.failures) < MAX_STORED_FAILURES:
-            self.failures.append(witness)
-
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failures": self.failure_count,
-            "witnesses": [list(w) for w in self.failures],
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class FactsReport:
-    facts: dict[str, FactCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(f.passed for f in self.facts.values())
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "facts": {name: f.to_json() for name, f in self.facts.items()},
-        }
-
-
-def _check_floor_ceiling_duality(fact: FactCheck) -> None:
-    # floor(h/x) >= y iff floor(h/y) >= x; ceil(h/x) <= y iff ceil(h/y) <= x
-    xy = range(1, FACTS_XY_MAX + 1)
-    for h in range(1, FACTS_H_MAX + 1):
-        floors = [0] + [h // d for d in xy]
-        ceils = [0] + [-(-h // d) for d in xy]
-        for x in xy:
-            fx, cx = floors[x], ceils[x]
-            for y in xy:
-                fact.record()
-                if (fx >= y) != (floors[y] >= x):
-                    fact.fail(("floor", h, x, y))
-                if (cx <= y) != (ceils[y] <= x):
-                    fact.fail(("ceiling", h, x, y))
-
-
-def _check_ceiling_floor_bound(fact: FactCheck) -> None:
-    # ceil(h/(t+a+1)) <= floor(h/t) once h >= max(t(t-1), 2t+2), for a < t
-    for t in range(1, FACTS_T_MAX + 1):
-        for h in range(gray_window_h_min(t), FACTS_H_MAX + 1):
-            ells = PowerCycleParams(h, t).ells
-            for a in range(t):
-                fact.record()
-                if ells[a] > h // t:
-                    fact.fail((t, h, a))
-
-
-def _check_size_t_partition(fact: FactCheck) -> None:
-    # Sets of size t or t+1 summing to h: the feasible part counts are exactly
-    # the interval [ceil(h/(t+1)), floor(h/t)], every h >= t(t-1) admits a
-    # partition, and the threshold is tight (h = t(t-1)-1 admits none).
-    # Sporadic smaller h, such as multiples of t, are representable too, so
-    # the threshold is a conductor, not a biconditional.
-    for t in range(1, FACTS_T_MAX + 1):
-        threshold = t * (t - 1)
-        for h in range(1, FACTS_H_MAX + 1):
-            fact.record()
-            lo, hi = -(-h // (t + 1)), h // t
-            feasible = {k for k in range(h + 1) if h - k * t >= 0 and k * (t + 1) - h >= 0}
-            if feasible != set(range(lo, hi + 1)):
-                fact.fail(("interval", t, h))
-            if h >= threshold and not feasible:
-                fact.fail(("conductor", t, h))
-            for k in feasible:
-                larger = h - k * t
-                sizes = [t] * (k - larger) + [t + 1] * larger
-                if len(sizes) != k or sum(sizes) != h:
-                    fact.fail(("construction", t, h, k))
-        if t >= 2 and threshold - 1 <= FACTS_H_MAX:
-            fact.record()
-            h = threshold - 1
-            if any(h - k * t >= 0 and k * (t + 1) - h >= 0 for k in range(h + 1)):
-                fact.fail(("tightness", t, h))
-
-
-def _check_late_linearity(fact: FactCheck) -> None:
-    # On p in [1/2, 1] the a=0 branch (1-p)/(ell0 - 1) is the smallest branch:
-    # below the chromatic branch (a, c) = (t+1, 0) once h >= (t+1)^2 + 1, and
-    # below every branch a >= 1 once h >= (t+1)(t+a) + 1.  Cross-multiplied,
-    # a(1-p) + c p <= (ell0 - 1) p is linear in p, so its two ends decide it.
-    for t in range(1, FACTS_T_MAX + 1):
-        for h in range(2 * t + 2, FACTS_H_MAX + 1):
-            ells = PowerCycleParams(h, t).ells
-            rivals = [(t + 1, 0, (t + 1) ** 2 + 1)]
-            rivals += [(a, ells[a] - 1, (t + 1) * (t + a) + 1) for a in range(1, t + 1)]
-            for a, c, h_min in rivals:
-                if h < h_min:
-                    continue
-                for m, n in ((1, 2), (1, 1)):  # p = m/n
-                    fact.record()
-                    if a * (n - m) + c * m > (ells[0] - 1) * m:
-                        fact.fail((t, h, a, str(Fraction(m, n))))
-
-
-def _check_early_linearity(fact: FactCheck) -> None:
-    # On p in [0, p0] the chromatic branch p/(t+1) is the smallest branch:
-    # (t+1-a)(1-p) >= (ell(a)-1) p for every a.  The left side falls and the
-    # right side rises with p, so the ends p = 0 and p0 = 1/ell(t) decide it.
-    for t in range(1, FACTS_T_MAX + 1):
-        for h in range(2 * t + 2, FACTS_H_MAX + 1):
-            ells = PowerCycleParams(h, t).ells
-            for m, n in ((0, 1), (1, ells[t])):  # p = m/n
-                for a, la in enumerate(ells):
-                    fact.record()
-                    if (t + 1 - a) * (n - m) < (la - 1) * m:
-                        fact.fail((t, h, a, str(Fraction(m, n))))
-
-
-def _check_three_term_reduction(fact: FactCheck) -> None:
-    # (ell0 - ell(a)) (t - a) >= (ell(a) - ell(t)) a for the middle branches
-    for t in THREE_TERM_T:
-        for h in range(three_term_h_min(t), FACTS_H_MAX + 1):
-            ells = PowerCycleParams(h, t).ells
-            for a in range(1, t):
-                fact.record()
-                if (ells[0] - ells[a]) * (t - a) < (ells[a] - ells[t]) * a:
-                    fact.fail((t, h, a))
-
-
-FACT_CHECKS = {
-    "floor_ceiling_duality": _check_floor_ceiling_duality,
-    "ceiling_floor_bound": _check_ceiling_floor_bound,
-    "size_t_partition": _check_size_t_partition,
-    "late_linearity": _check_late_linearity,
-    "early_linearity": _check_early_linearity,
-    "three_term_reduction": _check_three_term_reduction,
-}
-
-
-def verify_facts() -> FactsReport:
-    """Sweep every supporting integer fact and report violations with witnesses."""
-    facts = {}
-    for name, check in FACT_CHECKS.items():
-        facts[name] = FactCheck(name)
-        check(facts[name])
-    return FactsReport(facts)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isfinite
 from operator import index
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, SizeExceededError
 
 Number = Fraction | int | float
 
@@ -48,11 +48,16 @@ def to_probability(value: Number | str) -> Fraction:
 
 
 def number_str(value: Number) -> str | float | int:
-    """JSON-friendly form: Fractions become "num/den" strings, floats stay floats."""
+    """JSON-friendly form: Fractions become "num/den" strings, floats stay
+    floats.  A part past Python's int-to-string digit limit raises
+    SizeExceededError."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            if value.denominator == 1:
+                return str(value.numerator)
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError as exc:
+            raise SizeExceededError(f"exact value too long to print: {exc}") from exc
     return value
 
 

@@ -5,13 +5,19 @@ here asserts, so callers decide whether a failure is fatal.  The suites are
 deliberately cross-bred: search-based results are compared against closed
 forms, and exact optima against structural identities, so that any one
 implementation error breaks an equality somewhere.  Each suite's sweep is
-fixed by module constants, here and in curves, so a report always covers
-the same cases and no caller can shrink a check.
+fixed by module constants, so a report always covers the same cases and no
+caller can shrink a check.
+
+The facts suite's sweeps clear denominators so that every comparison is an
+integer comparison.  The two linearity facts compare branches over a
+p-interval; cross-multiplied, each comparison is linear in p, so the sweep
+tests it at the two ends of the interval, which decides it at every p between.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import curves
@@ -24,7 +30,7 @@ from .gfunction import (
     g_value,
     is_p_core,
 )
-from .graphs import PowerCycleParams
+from .graphs import PowerCycleParams, gray_window_h_min
 from .spectrum import gamma, power_cycle_spectrum
 
 CORPUS_SEED = 20260810
@@ -42,6 +48,169 @@ GAMMA_GRID_SAMPLES = 101  # p = 0, 1/100, ..., 1
 WEIGHT_PS = (Fraction(1, 4), Fraction(3, 4))
 MIN_ASSERTED = 10  # fewer certified p-cores than this fails the weights suite
 COMPONENT_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+MAX_STORED_FAILURES = 20
+THREE_TERM_T = (2, 3)  # powers t whose three-term reduction the facts sweep checks
+# the facts sweep's fixed ranges: h, t, x and y from 1
+FACTS_H_MAX = 400
+FACTS_T_MAX = 8
+FACTS_XY_MAX = 60
+
+
+def three_term_h_min(t: int) -> int:
+    """4t^2+10t+24, from which the three-term reduction holds (t >= 2)."""
+    return 4 * t * t + 10 * t + 24
+
+
+@dataclass
+class FactCheck:
+    """Tally of one arithmetic fact over its sweep."""
+
+    name: str
+    checked: int = 0
+    failure_count: int = 0
+    failures: list[tuple] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        """A fact passes when it was checked at least once and never failed."""
+        return self.checked > 0 and self.failure_count == 0
+
+    def record(self) -> None:
+        self.checked += 1
+
+    def fail(self, witness: tuple) -> None:
+        self.failure_count += 1
+        if len(self.failures) < MAX_STORED_FAILURES:
+            self.failures.append(witness)
+
+    def to_json(self) -> dict:
+        return {
+            "checked": self.checked,
+            "failures": self.failure_count,
+            "witnesses": [list(w) for w in self.failures],
+            "passed": self.passed,
+        }
+
+
+def _check_floor_ceiling_duality(fact: FactCheck) -> None:
+    # floor(h/x) >= y iff floor(h/y) >= x; ceil(h/x) <= y iff ceil(h/y) <= x
+    xy = range(1, FACTS_XY_MAX + 1)
+    for h in range(1, FACTS_H_MAX + 1):
+        floors = [0] + [h // d for d in xy]
+        ceils = [0] + [-(-h // d) for d in xy]
+        for x in xy:
+            fx, cx = floors[x], ceils[x]
+            for y in xy:
+                fact.record()
+                if (fx >= y) != (floors[y] >= x):
+                    fact.fail(("floor", h, x, y))
+                if (cx <= y) != (ceils[y] <= x):
+                    fact.fail(("ceiling", h, x, y))
+
+
+def _check_ceiling_floor_bound(fact: FactCheck) -> None:
+    # ceil(h/(t+a+1)) <= floor(h/t) once h >= max(t(t-1), 2t+2), for a < t
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(gray_window_h_min(t), FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
+            for a in range(t):
+                fact.record()
+                if ells[a] > h // t:
+                    fact.fail((t, h, a))
+
+
+def _check_size_t_partition(fact: FactCheck) -> None:
+    # Sets of size t or t+1 summing to h: the feasible part counts are exactly
+    # the interval [ceil(h/(t+1)), floor(h/t)], every h >= t(t-1) admits a
+    # partition, and the threshold is tight (h = t(t-1)-1 admits none).
+    # Sporadic smaller h, such as multiples of t, are representable too, so
+    # the threshold is a conductor, not a biconditional.
+    for t in range(1, FACTS_T_MAX + 1):
+        threshold = t * (t - 1)
+        for h in range(1, FACTS_H_MAX + 1):
+            fact.record()
+            lo, hi = -(-h // (t + 1)), h // t
+            feasible = {k for k in range(h + 1) if h - k * t >= 0 and k * (t + 1) - h >= 0}
+            if feasible != set(range(lo, hi + 1)):
+                fact.fail(("interval", t, h))
+            if h >= threshold and not feasible:
+                fact.fail(("conductor", t, h))
+            for k in feasible:
+                larger = h - k * t
+                sizes = [t] * (k - larger) + [t + 1] * larger
+                if len(sizes) != k or sum(sizes) != h:
+                    fact.fail(("construction", t, h, k))
+        if t >= 2 and threshold - 1 <= FACTS_H_MAX:
+            fact.record()
+            h = threshold - 1
+            if any(h - k * t >= 0 and k * (t + 1) - h >= 0 for k in range(h + 1)):
+                fact.fail(("tightness", t, h))
+
+
+def _check_late_linearity(fact: FactCheck) -> None:
+    # On p in [1/2, 1] the a=0 branch (1-p)/(ell0 - 1) is the smallest branch:
+    # below the chromatic branch (a, c) = (t+1, 0) once h >= (t+1)^2 + 1, and
+    # below every branch a >= 1 once h >= (t+1)(t+a) + 1.  Cross-multiplied,
+    # a(1-p) + c p <= (ell0 - 1) p is linear in p, so its two ends decide it.
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(2 * t + 2, FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
+            rivals = [(t + 1, 0, (t + 1) ** 2 + 1)]
+            rivals += [(a, ells[a] - 1, (t + 1) * (t + a) + 1) for a in range(1, t + 1)]
+            for a, c, h_min in rivals:
+                if h < h_min:
+                    continue
+                for m, n in ((1, 2), (1, 1)):  # p = m/n
+                    fact.record()
+                    if a * (n - m) + c * m > (ells[0] - 1) * m:
+                        fact.fail((t, h, a, str(Fraction(m, n))))
+
+
+def _check_early_linearity(fact: FactCheck) -> None:
+    # On p in [0, p0] the chromatic branch p/(t+1) is the smallest branch:
+    # (t+1-a)(1-p) >= (ell(a)-1) p for every a.  The left side falls and the
+    # right side rises with p, so the ends p = 0 and p0 = 1/ell(t) decide it.
+    for t in range(1, FACTS_T_MAX + 1):
+        for h in range(2 * t + 2, FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
+            for m, n in ((0, 1), (1, ells[t])):  # p = m/n
+                for a, la in enumerate(ells):
+                    fact.record()
+                    if (t + 1 - a) * (n - m) < (la - 1) * m:
+                        fact.fail((t, h, a, str(Fraction(m, n))))
+
+
+def _check_three_term_reduction(fact: FactCheck) -> None:
+    # (ell0 - ell(a)) (t - a) >= (ell(a) - ell(t)) a for the middle branches
+    for t in THREE_TERM_T:
+        for h in range(three_term_h_min(t), FACTS_H_MAX + 1):
+            ells = PowerCycleParams(h, t).ells
+            for a in range(1, t):
+                fact.record()
+                if (ells[0] - ells[a]) * (t - a) < (ells[a] - ells[t]) * a:
+                    fact.fail((t, h, a))
+
+
+FACT_CHECKS = {
+    "floor_ceiling_duality": _check_floor_ceiling_duality,
+    "ceiling_floor_bound": _check_ceiling_floor_bound,
+    "size_t_partition": _check_size_t_partition,
+    "late_linearity": _check_late_linearity,
+    "early_linearity": _check_early_linearity,
+    "three_term_reduction": _check_three_term_reduction,
+}
+
+
+def facts_suite() -> dict:
+    """Sweep every supporting integer fact and report violations with witnesses."""
+    facts = {}
+    for name, check in FACT_CHECKS.items():
+        facts[name] = FactCheck(name)
+        check(facts[name])
+    return {
+        "ok": all(fact.passed for fact in facts.values()),
+        "facts": {name: fact.to_json() for name, fact in facts.items()},
+    }
 
 
 def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
@@ -233,31 +402,30 @@ def component_suite() -> dict:
     return {"ok": not failures, "corpus_size": len(corpus), "failures": failures}
 
 
-SUITE_NAMES = ("facts", "gray_cycles", "gamma_cross", "weights", "components")
+SUITES = {
+    "facts": facts_suite,
+    "gray_cycles": gray_cycle_suite,
+    "gamma_cross": gamma_cross_suite,
+    "weights": weight_suite,
+    "components": component_suite,
+}
 
 
 def run_suites(names) -> dict:
-    """Run the named suites in SUITE_NAMES order, each section ending with
-    its elapsed_s; "ok" when every one passes.
+    """Run the named suites in SUITES order, each section ending with its
+    elapsed_s; "ok" when every one passes.
 
     No name, or an unknown one, is refused: a run that checked nothing
     must not report a pass.
     """
     names = set(names)
-    if not names or not names <= set(SUITE_NAMES):
-        raise ParameterDomainError(f"suites {sorted(names)}: name one or more of {SUITE_NAMES}")
-    runners = {
-        "facts": lambda: curves.verify_facts().to_json(),
-        "gray_cycles": gray_cycle_suite,
-        "gamma_cross": gamma_cross_suite,
-        "weights": weight_suite,
-        "components": component_suite,
-    }
+    if not names or not names <= SUITES.keys():
+        raise ParameterDomainError(f"suites {sorted(names)}: name one or more of {tuple(SUITES)}")
     report = {}
-    for name in SUITE_NAMES:
+    for name, suite in SUITES.items():
         if name in names:
             started = time.perf_counter()
-            report[name] = runners[name]()
+            report[name] = suite()
             report[name]["elapsed_s"] = round(time.perf_counter() - started, 3)
     report["ok"] = all(section["ok"] for section in report.values())
     return report

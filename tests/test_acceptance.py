@@ -19,7 +19,6 @@ from edcycles.curves import (
     gamma_closed,
     gamma_closed_with_branch,
     max_point,
-    verify_facts,
 )
 from edcycles.gfunction import g_value
 from edcycles.graphs import Graph, PowerCycleParams
@@ -162,11 +161,11 @@ def test_criterion_7_irrational_maximum():
 
 def test_criterion_8_facts_sweep():
     with Timer() as timer:
-        facts = verify_facts()
-    passed = facts.ok and timer.elapsed < 120.0
+        facts = verify.facts_suite()
+    passed = facts["ok"] and timer.elapsed < 120.0
     report(8, "facts sweep", passed, timer.elapsed)
-    for name, fact in facts.facts.items():
-        assert fact.passed, (name, fact.failures[:5])
+    for name, fact in facts["facts"].items():
+        assert fact["passed"], (name, fact["witnesses"][:5])
     assert timer.elapsed < 120.0
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from edcycles import curves, verify
+from edcycles import verify
 from edcycles.cli import main
 from edcycles.crg import crg_to_json, k_rs
 from edcycles.embed import gray_cycle_crg
@@ -364,6 +364,21 @@ def test_run_suites_refuses_empty_or_unknown_names(names):
         verify.run_suites(names)
 
 
+def test_suite_table_alone_names_and_orders_the_suites(capsys, monkeypatch):
+    # a suite is one entry of verify.SUITES: the CLI accepts it and
+    # run_suites reports the sections in table order, not request order
+    monkeypatch.setattr(verify, "SUITES", {
+        "second_fake": lambda: {"ok": True, "order": 2},
+        "first_fake": lambda: {"ok": True, "order": 1},
+    })
+    code, out, _ = run(capsys, "verify", "--suite", "first-fake")
+    assert code == 0
+    assert json.loads(out)["first_fake"]["order"] == 1
+    report = verify.run_suites(["first_fake", "second_fake"])
+    assert list(report) == ["second_fake", "first_fake", "ok"]
+    assert_argument_error(capsys, "verify", "--suite", "facts")
+
+
 def test_verify_gamma_cross_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gamma-cross")
     assert code == 0
@@ -374,9 +389,7 @@ def test_verify_gamma_cross_suite_passes(capsys):
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "edcycles.cli.verify.gamma_cross_suite", lambda *a, **k: {"ok": False}
-    )
+    monkeypatch.setitem(verify.SUITES, "gamma_cross", lambda: {"ok": False})
     code, out, _ = run(capsys, "verify", "--suite", "gamma-cross")
     assert code == 1
     assert json.loads(out)["ok"] is False
@@ -384,7 +397,7 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
 
 def test_verify_facts_unreached_by_sweep_fail(capsys, monkeypatch):
     # a fact whose sweep never reaches a case must fail the verify run
-    monkeypatch.setattr(curves, "FACT_CHECKS", {"unreached": lambda fact: None})
+    monkeypatch.setattr(verify, "FACT_CHECKS", {"unreached": lambda fact: None})
     code, out, _ = run(capsys, "verify", "--suite", "facts")
     assert code == 1
     fact = json.loads(out)["facts"]["facts"]["unreached"]
@@ -412,6 +425,22 @@ def test_format_flag_only_on_curve(capsys, command):
 ])
 def test_argument_errors_are_json(capsys, argv):
     assert_argument_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,error", [
+    # the answer outgrows the int-to-string digit limit, though p does not
+    (["g", "--krs", "1", "1", "--p", "1e-3000"], "SizeExceededError"),
+    (["curve", "--h", "8", "--t", "1", "--no-search", "--format", "json", "--p", "1e-3000"],
+     "SizeExceededError"),
+    # p itself would pass the limit: refused from its exponent
+    (["g", "--krs", "1", "1", "--p", "1e-999999"], "ParameterDomainError"),
+    (["g", "--krs", "1", "1", "--p", "1e-9999999"], "ParameterDomainError"),
+], ids=["g-answer", "curve-answer", "g-p-1e-999999", "g-p-1e-9999999"])
+def test_numbers_past_the_digit_limit_exit_2(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
 
 
 def test_help_exits_zero(capsys):

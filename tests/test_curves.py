@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 from edcycles.curves import (
-    FACT_CHECKS,
-    FactCheck,
     black_part_g_bound,
     branch_crossings,
     branches,
@@ -25,6 +23,7 @@ from edcycles.curves import (
 from edcycles.errors import NonConcavityError, ParameterDomainError
 from edcycles.gfunction import g_krs
 from edcycles.graphs import PowerCycleParams
+from edcycles.verify import FACT_CHECKS, FactCheck
 
 
 def test_gamma_closed_h8_t1_at_half():

@@ -29,6 +29,7 @@ COMMANDS = {
         "curve", "--h", "15", "--t", "2", "--p", "1/7", "--p", "3/10", "--format", "json",
     ],
     "verify_facts.json": ["verify", "--suite", "facts"],
+    "verify_all.json": ["verify", "--suite", "all"],
 }
 
 
