@@ -191,40 +191,51 @@ def curve_csv(samples: Sequence[CurveSample], search: Sequence[Number] | None = 
 class MaxPoint:
     p_star: float
     d_star: float
-    method: str  # "ternary-search" | "closed-form"
+    method: str  # "fibonacci-search" | "closed-form"
 
     def to_json(self) -> dict:
         return {"p_star": self.p_star, "d_star": self.d_star, "method": self.method}
 
 
 def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
-    """Maximum of a concave curve on [0, 1] by ternary search.
+    """Maximum of a concave curve on [0, 1] by Fibonacci search.
 
     A three-point midpoint probe on CONCAVITY_SAMPLES points runs first;
     concavity failures raise rather than return a point the search cannot
-    certify.  The bracket is kept in exact rationals, so value comparisons
-    near the flat top never fall into float rounding noise.  The search
-    stops once the bracket is narrower than MAX_POINT_TOL.  It is the
-    generic cross-check for curve_peak's exact peak of gamma.
+    certify.  Every probe is i / F for one Fibonacci number F >= 2 /
+    MAX_POINT_TOL, so the bracket [lo, lo + F_k] / F keeps exact rational
+    ends and value comparisons near the flat top never fall into float
+    rounding noise.  Its inner probes sit at lo + F_(k-2) and lo + F_(k-1),
+    and each step keeps one of them as a probe of the next bracket, so a
+    step costs one curve evaluation.  A tie keeps [lo, x2], which holds both
+    probes.  The search stops once the bracket is at most MAX_POINT_TOL
+    wide.  It is the generic cross-check for curve_peak's exact peak of
+    gamma.
     """
     grid = uniform_p_grid(CONCAVITY_SAMPLES)
     values = [curve(p) for p in grid]
     for i in range(CONCAVITY_SAMPLES - 2):
         if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
             raise NonConcavityError(f"midpoint concavity fails near p={float(grid[i + 1])}")
-    a, b = Fraction(0), Fraction(1)
-    while b - a > MAX_POINT_TOL:
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        left, right = curve(m1), curve(m2)
+    fib = [0, 1]
+    while fib[-1] < 2 / MAX_POINT_TOL:
+        fib.append(fib[-1] + fib[-2])
+    scale = fib[-1]
+    k = len(fib) - 1
+    lo, x1, x2 = 0, fib[k - 2], fib[k - 1]
+    left, right = curve(Fraction(x1, scale)), curve(Fraction(x2, scale))
+    while Fraction(fib[k], scale) > MAX_POINT_TOL:
+        k -= 1
         if left < right:
-            a = m1
-        elif left > right:
-            b = m2
+            lo, x1, left = x1, x2, right
+            x2 = lo + fib[k - 1]
+            right = curve(Fraction(x2, scale))
         else:
-            a, b = m1, m2
-    p_star = (a + b) / 2
-    return MaxPoint(float(p_star), float(curve(p_star)), "ternary-search")
+            x2, right = x1, left
+            x1 = lo + fib[k - 2]
+            left = curve(Fraction(x1, scale))
+    p_star = Fraction(2 * lo + fib[k], 2 * scale)
+    return MaxPoint(float(p_star), float(curve(p_star)), "fibonacci-search")
 
 
 def _vertex_below(a: int, c: int, q: Fraction) -> bool:

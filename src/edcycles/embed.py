@@ -9,6 +9,11 @@ The search assigns H-vertices one at a time in a connectivity-friendly order
 and keeps, for each unassigned vertex, a bitmask domain of still-feasible
 images.  Assigning a vertex intersects every later domain with the row of a
 precomputed pair-feasibility table; an emptied domain prunes immediately.
+A later vertex with no placed H-neighbour has met only non-edge rows, so all
+such untouched vertices share one domain, the AND of the non-edge rows of
+the placed images.  The search keeps that shared domain once and a domain
+of its own only for each touched vertex, so a node filters the frontier of
+touched vertices, not every later one.
 
 Each call also caches the search states that failed.  Once a vertex has no
 H-neighbour left to place it is dead: it filters every later domain by the
@@ -112,14 +117,14 @@ def _search_order(H: Graph) -> list[int]:
     if H.n == 0:
         return []
     adj = H.adjacency_masks
-    degrees = [bin(m).count("1") for m in adj]
+    degrees = [m.bit_count() for m in adj]
     order = [max(range(H.n), key=lambda v: (degrees[v], -v))]
     placed = 1 << order[0]
     remaining = set(range(H.n)) - {order[0]}
     while remaining:
         v = max(
             remaining,
-            key=lambda u: (bin(adj[u] & placed).count("1"), degrees[u], -u),
+            key=lambda u: ((adj[u] & placed).bit_count(), degrees[u], -u),
         )
         order.append(v)
         placed |= 1 << v
@@ -141,6 +146,16 @@ def find_embedding(
     timeout is None (no deadline) or a positive number of seconds; the
     timeout error reports the nodes searched and how many the failed-state
     cache refused.
+
+    Domains are kept only for touched positions, those with a placed
+    H-neighbour.  Every untouched later position has met only non-edge rows,
+    so its domain is the AND of non_ok over the placed images, which the
+    search keeps once as the shared domain.  A position newly touched by
+    the image u of depth D starts from the shared domain ANDed with
+    edge_ok[u].  A node prunes when a touched domain empties, or when the
+    shared domain empties while some later position is still untouched:
+    the same test as filtering every later domain, over a frontier of at
+    most about 2t positions on a cycle power instead of all of them.
 
     Failed states are cached per call and dropped when it returns.  At depth
     D of the search order, a placed position is live if some position >= D
@@ -190,15 +205,39 @@ def find_embedding(
         for pos, v in enumerate(members[:-1]):
             successor[v] = members[pos + 1]
 
-    # Failed-state cache.  last[d] is the last position adjacent to position
-    # d, or d itself; d is live at depth D > d while last[d] >= D and dead
-    # after.  live[D] lists the live positions at depth D and dies[D] those
-    # that turn dead on reaching it.
+    # first[d] and last[d] are the first and last positions adjacent to
+    # position d, or d itself.
+    first = list(range(n))
     last = list(range(n))
     for d2 in range(n):
         for d in range(d2):
             if adjacent_positions[d2][d]:
+                first[d2] = min(first[d2], d)
                 last[d] = d2
+
+    # Shared domain.  Position d >= D is touched at depth D once first[d] < D.
+    # A node at depth D holds the domains of touched[D] in that order, then
+    # the shared domain while some position >= D is untouched; own[D] indexes
+    # position D's domain.  plan[D] builds the child's list: for each entry,
+    # the index of its domain in the parent's list (-1, the shared domain, for
+    # a position that D touches first) and whether it is adjacent to D; a
+    # last (-1, False) carries the shared domain on.
+    touched = [[d for d in range(depth, n) if first[d] < depth] for depth in range(n + 1)]
+    own = [touched[depth].index(depth) if depth in touched[depth] else -1 for depth in range(n)]
+    plan = []
+    for depth in range(n):
+        parent = touched[depth]
+        steps = [
+            (parent.index(d) if d in parent else -1, adjacent_positions[d][depth])
+            for d in touched[depth + 1]
+        ]
+        if len(touched[depth + 1]) < n - depth - 1:
+            steps.append((-1, False))
+        plan.append(steps)
+
+    # Failed-state cache.  Position d is live at depth D > d while
+    # last[d] >= D and dead after.  live[D] lists the live positions at depth
+    # D and dies[D] those that turn dead on reaching it.
     live = [[d for d in range(depth) if last[d] >= depth] for depth in range(n)]
     dies = [[] for _ in range(n + 1)]
     for d in range(n):
@@ -214,8 +253,9 @@ def find_embedding(
     def extend(depth: int, domains: list[int], used: int, fresh: int, dead: int) -> bool:
         nonlocal nodes, refused
         seen = failed[depth]
+        steps = plan[depth]
         key = None
-        candidates = domains[depth] & (used | fresh)
+        candidates = domains[own[depth]] & (used | fresh)
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -239,18 +279,15 @@ def find_embedding(
                     new_fresh |= 1 << nxt
             else:
                 new_used, new_fresh = used, fresh
-            new_domains = domains.copy()
-            ok = True
             erow = edge_ok[u]
             nrow = non_ok[u]
-            is_adj = adjacent_positions
-            for d in range(depth + 1, n):
-                filtered = new_domains[d] & (erow if is_adj[d][depth] else nrow)
-                if not filtered:
-                    ok = False
+            new_domains = []
+            for src, adjacent in steps:
+                domain = domains[src] & (erow if adjacent else nrow)
+                if not domain:
                     break
-                new_domains[d] = filtered
-            if not ok:
+                new_domains.append(domain)
+            if len(new_domains) < len(steps):
                 continue
             if key is None and seen is not None:
                 key = dead
@@ -268,7 +305,7 @@ def find_embedding(
             seen.add(key)
         return False
 
-    if extend(0, [full] * n, 0, first_fresh_mask, 0):
+    if extend(0, [full], 0, first_fresh_mask, 0):
         phi = [0] * n
         for d, v in enumerate(order):
             phi[v] = assignment[d]

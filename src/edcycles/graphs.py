@@ -64,7 +64,7 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
     def degree(self, v: int) -> int:
-        return bin(self.adjacency_masks[v]).count("1")
+        return self.adjacency_masks[v].bit_count()
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from edcycles.curves import (
+    CONCAVITY_SAMPLES,
+    MAX_POINT_TOL,
     black_part_g_bound,
     branch_crossings,
     branches,
@@ -137,6 +139,24 @@ def test_max_point_toy_tent():
     point = max_point(lambda p: min(p, 1 - p))
     assert point.p_star == pytest.approx(0.5, abs=1e-9)
     assert point.d_star == pytest.approx(0.5, abs=1e-9)
+
+
+def test_max_point_takes_one_probe_a_step():
+    # a tent peaking at 1/7, which no probe i / F hits; the Fibonacci bracket
+    # shrinks by the golden ratio per probe, so 60 probes reach 1e-12, where
+    # a search taking two probes a step needs about 138
+    probes = []
+
+    def tent(p):
+        probes.append(p)
+        return min(7 * p, Fraction(7, 6) * (1 - p))
+
+    point = max_point(tent)
+    search = probes[CONCAVITY_SAMPLES:-1]  # the last call evaluates p_star
+    assert len(search) <= 60
+    assert all(isinstance(q, Fraction) for q in search)
+    assert abs(Fraction(point.p_star) - Fraction(1, 7)) <= MAX_POINT_TOL / 2
+    assert point.method == "fibonacci-search"
 
 
 def test_max_point_rejects_convex():

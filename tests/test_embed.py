@@ -6,6 +6,8 @@ import pytest
 
 from edcycles.crg import BLACK, GRAY, WHITE, crg_from_pairs, k_rs, random_crg, sub_crg
 from edcycles.embed import (
+    _interchangeable_classes,
+    _search_order,
     embeds,
     find_embedding,
     gray_cycle_crg,
@@ -132,11 +134,92 @@ def test_find_embedding_matches_brute_force():
     assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
+def plain_find_embedding(H, K):
+    """Forward checking with a domain for every later position, in
+    find_embedding's vertex order and twin-class fill rule, with no shared
+    domain and no failed-state cache.  Images are tried lowest first."""
+    n = H.n
+    pairs = {False: Graph.from_edges(2, []), True: Graph.from_edges(2, [(0, 1)])}
+    rows = {  # rows[adjacent][u]: images w that may sit beside image u
+        adjacent: [
+            sum(1 << w for w in range(K.n) if verify_embedding(pair, K, (u, w)))
+            for u in range(K.n)
+        ]
+        for adjacent, pair in pairs.items()
+    }
+    order = _search_order(H)
+    successor, first_fresh = {}, 0
+    for members in _interchangeable_classes(K):
+        first_fresh |= 1 << members[0]
+        successor.update(zip(members, members[1:]))
+    images = [0] * n
+
+    def extend(depth, domains, used, fresh):
+        for u in range(K.n):
+            low = 1 << u
+            if not domains[depth] & (used | fresh) & low:
+                continue
+            images[depth] = u
+            if depth + 1 == n:
+                return True
+            new_used, new_fresh = used, fresh
+            if low & fresh:
+                new_used, new_fresh = used | low, fresh ^ low
+                if u in successor:
+                    new_fresh |= 1 << successor[u]
+            new_domains = domains[: depth + 1] + [
+                domains[d] & rows[H.adjacent(order[d], order[depth])][u]
+                for d in range(depth + 1, n)
+            ]
+            if all(new_domains) and extend(depth + 1, new_domains, new_used, new_fresh):
+                return True
+        return False
+
+    if n and not extend(0, [(1 << K.n) - 1] * n, 0, first_fresh):
+        return None
+    phi = [0] * n
+    for d, v in enumerate(order):
+        phi[v] = images[d]
+    return tuple(phi)
+
+
+def test_find_embedding_returns_the_plain_searchs_witness():
+    # the shared domain and the failed-state cache change the work, never
+    # which witness comes first
+    rng = random.Random(47)
+    pairs = []
+    for _ in range(400):
+        H = random_graph(rng, rng.randint(1, 10), rng.choice((0.15, 0.3, 0.5, 0.7)))
+        pairs.append((H, random_crg(rng, rng.randint(1, 5), gray_weight=rng.choice((1.0, 3.0)))))
+    for n in range(2, 11):
+        for width in (1, 2, 3):
+            for _ in range(3):
+                pairs.append((banded_graph(n, width), random_crg(rng, rng.randint(2, 5))))
+    for h, t in ((7, 1), (8, 1), (9, 1), (10, 2), (11, 2), (13, 2)):
+        for a in range(t + 1):
+            for k in range(2, 8 - a):
+                pairs.append((power_cycle(h, t), gray_cycle_crg(a, k)))
+    found = 0
+    for H, K in pairs:
+        phi = find_embedding(H, K, timeout=None)
+        assert phi == plain_find_embedding(H, K), (H, K)
+        found += phi is not None
+    assert 100 < found < len(pairs) - 100
+
+
+def test_shared_domain_alone_refutes():
+    # no vertex has a neighbour, so every domain is the shared one: after
+    # two images it is non_ok[0] & non_ok[1], empty, with one vertex to go
+    K = crg_from_pairs((BLACK, BLACK), [(0, 1, WHITE)])
+    H = Graph.from_edges(3, [])
+    assert find_embedding(H, K, timeout=None) is None
+    assert plain_find_embedding(H, K) is None
+    assert find_embedding(Graph.from_edges(2, []), K, timeout=None) == (0, 1)
+
+
 def test_interchangeable_classes_are_automorphism_orbits():
     # soundness of the symmetry breaking: swapping any two class members
     # must leave every vertex and edge color unchanged
-    from edcycles.embed import _interchangeable_classes
-
     rng = random.Random(67)
     crgs = [random_crg(rng, rng.randint(2, 7)) for _ in range(40)]
     crgs += [k_rs(3, 3), gray_cycle_crg(2, 5)]
@@ -208,6 +291,26 @@ def test_timeout_reports_cache_refusals():
     clique = Graph.from_edges(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     with pytest.raises(EmbedTimeoutError, match=r"after 1024 nodes, 0 refused"):
         embeds(clique, K, timeout=1e-9)
+
+
+@pytest.mark.parametrize(
+    "h, t, K, refused",
+    [
+        (33, 3, k_rs(3, 4), 183),
+        (25, 3, k_rs(3, 3), 138),
+        (26, 2, k_rs(2, 5), 232),
+        # black images on a gray cycle: the shared domain empties once every
+        # image is used, and without that prune the count reads 51
+        (25, 3, gray_cycle_crg(0, 6), 54),
+    ],
+    ids=["C33_3-K3_4", "C25_3-K3_3", "C26_2-K2_5", "C25_3-gray6"],
+)
+def test_timeout_message_pins_the_traversal(h, t, K, refused):
+    # the first 1024 nodes and the refusals among them depend on the order
+    # of the search and on every prune, so a change to either shows here
+    message = f"after 1024 nodes, {refused} refused by the failed-state cache"
+    with pytest.raises(EmbedTimeoutError, match=message):
+        embeds(power_cycle(h, t), K, timeout=1e-9)
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0, 0.0, -1.0, float("-inf")])
