@@ -15,6 +15,14 @@ the placed images.  The search keeps that shared domain once and a domain
 of its own only for each touched vertex, so a node filters the frontier of
 touched vertices, not every later one.
 
+The first vertex in the search order may take only the least vertex of
+each orbit of Aut(K), the color-preserving permutations of K; every later
+vertex is free as before.  The twin-class rule cannot see the dihedral
+symmetry of a gray k-cycle: for k >= 4 no two of its black vertices are
+twins, so without this rule every refutation would be repeated once for
+each rotation of the root image.  The witness returned stays the same (see
+find_embedding).
+
 Each call also caches the search states that failed.  Once a vertex has no
 H-neighbour left to place it is dead: it filters every later domain by the
 same non-edge row of its image, so only the set of dead images matters, not
@@ -87,29 +95,134 @@ def _feasibility_masks(K: Crg) -> tuple[list[int], list[int]]:
     return edge_ok, non_ok
 
 
-def _interchangeable_classes(K: Crg) -> list[list[int]]:
-    """Partition V(K) into twin classes, each in vertex order.
+def _interchangeable_classes(edge_ok: list[int], non_ok: list[int]) -> list[list[int]]:
+    """Partition V(K) into twin classes, each in vertex order, from K's
+    feasibility masks.
 
     Twins share a vertex color and the edge color toward every third vertex.
     Twinship is an equivalence relation and forces one edge color inside a
     class, so any permutation of a class is a CRG automorphism, and the
     search may insist that class members enter the image in class order.
-    All-gray CRGs collapse to at most two classes.
+    All-gray CRGs collapse to at most two classes.  The feasibility masks
+    carry every color: the diagonal bit of edge_ok marks a black vertex, and
+    edge_ok and non_ok together tell a black, gray and white pair apart.
     """
 
     def twins(u: int, v: int) -> bool:
-        return K.vertex_colors[u] == K.vertex_colors[v] and all(
-            K.edge_color(u, w) == K.edge_color(v, w) for w in range(K.n) if w not in (u, v)
-        )
+        third = ~(1 << u | 1 << v)
+        return edge_ok[u] >> u & 1 == edge_ok[v] >> v & 1 and not (
+            (edge_ok[u] ^ edge_ok[v]) | (non_ok[u] ^ non_ok[v])
+        ) & third
 
     classes: list[list[int]] = []
-    for v in range(K.n):
+    for v in range(len(edge_ok)):
         home = next((members for members in classes if twins(members[0], v)), None)
         if home is None:
             classes.append([v])
         else:
             home.append(v)
     return classes
+
+
+def _automorphism_orbits(
+    edge_ok: list[int], non_ok: list[int], classes: list[list[int]]
+) -> list[list[int]]:
+    """Partition V(K) into the orbits of Aut(K), each in vertex order, from
+    K's feasibility masks and twin classes.
+
+    An automorphism keeps every vertex and edge color, so it is a
+    permutation sigma that keeps both feasibility relations: w is in
+    edge_ok[u] exactly when sigma(w) is in edge_ok[sigma(u)], and likewise
+    for non_ok, whose diagonal bits carry the vertex colors.  Twin classes
+    are orbits to begin with.  Then each vertex v that is still the least of
+    its orbit is tried against every smaller orbit's least vertex r of the
+    same color signature: a forward-checking search looks for an
+    automorphism sending r to v.  One it finds is checked pair by pair, the
+    diagonal included, against both relations, and each of its cycles joins
+    one orbit.  So every union is backed by a checked automorphism, and the
+    result is exact: if some automorphism sent r to v, the search finds one.
+    """
+    n = len(edge_ok)
+    least = list(range(n))  # least[u]: the least vertex of u's orbit so far
+    for members in classes:
+        for u in members:
+            least[u] = members[0]
+    signature = [
+        (row >> u & 1, row.bit_count(), non_ok[u].bit_count()) for u, row in enumerate(edge_ok)
+    ]
+    groups: dict[tuple[int, int, int], int] = {}
+    for u, key in enumerate(signature):
+        groups[key] = groups.get(key, 0) | 1 << u
+    alike = [groups[key] for key in signature]
+
+    def sending(r: int, v: int) -> list[int] | None:
+        # Twin-class members are interchangeable as images too, so each class
+        # other than v fills in class order, as in find_embedding.
+        successor, fresh = {}, 1 << v
+        for members in classes:
+            rest = [u for u in members if u != v]
+            if rest:
+                fresh |= 1 << rest[0]
+                successor.update(zip(rest, rest[1:]))
+        order = [r] + [x for x in range(n) if x != r]
+        image = [0] * n
+
+        def extend(i: int, domains: list[int], fresh: int) -> bool:
+            x = order[i]
+            candidates = domains[x] & fresh
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                y = low.bit_length() - 1
+                image[x] = y
+                if i + 1 == n:
+                    return True
+                erow, nrow = edge_ok[y], non_ok[y]
+                new_domains = domains[:]
+                for x2 in order[i + 1 :]:
+                    domain = new_domains[x2] & (erow if edge_ok[x] >> x2 & 1 else ~erow)
+                    domain &= nrow if non_ok[x] >> x2 & 1 else ~nrow
+                    if not domain:
+                        break
+                    new_domains[x2] = domain
+                else:
+                    nxt = successor.get(y)
+                    new_fresh = fresh ^ low
+                    if nxt is not None:
+                        new_fresh |= 1 << nxt
+                    if extend(i + 1, new_domains, new_fresh):
+                        return True
+            return False
+
+        domains = alike[:]
+        domains[r] = 1 << v
+        return image if extend(0, domains, fresh) else None
+
+    for v in range(n):
+        for r in range(v):
+            if least[v] != v:
+                break
+            if least[r] != r or not alike[r] >> v & 1:
+                continue
+            sigma = sending(r, v)
+            if sigma is None:
+                continue
+            if sorted(sigma) != list(range(n)) or any(
+                row[sigma[u]] >> sigma[w] & 1 != row[u] >> w & 1
+                for row in (edge_ok, non_ok)
+                for u in range(n)
+                for w in range(u, n)
+            ):
+                raise RuntimeError("automorphism search produced a map that fails its check")
+            for u in range(n):
+                a, b = least[u], least[sigma[u]]
+                if a != b:
+                    keep, drop = min(a, b), max(a, b)
+                    least = [keep if w == drop else w for w in least]
+    orbits: dict[int, list[int]] = {}
+    for u in range(n):
+        orbits.setdefault(least[u], []).append(u)
+    return list(orbits.values())
 
 
 def _search_order(H: Graph) -> list[int]:
@@ -173,6 +286,21 @@ def find_embedding(
     neither keyed nor recorded.  Depths with no dead position keep no
     cache, since there the key is the whole prefix, which the search meets
     once.
+
+    Root-orbit rule.  Depth 0 may take only the least vertex of each orbit
+    of Aut(K), from _automorphism_orbits; no deeper position is restricted,
+    and the mask stays out of the shared domain, which also seeds every
+    untouched position.  The search without the rule returns the first
+    twin-canonical embedding phi* in candidate order, and its root image is
+    already such a least vertex.  Were the least vertex w of its orbit
+    smaller, an automorphism sigma would send phi*'s root image to w, and
+    sigma o phi* would be an embedding.  Making it twin-canonical keeps w,
+    the first member of its twin class, since twin classes lie inside
+    orbits; so a twin-canonical embedding would come before phi*, which is
+    absurd.  Hence the same witness, or None, is returned.  The cache stays
+    exact, since depth 0 keeps none and every subtree below a root image
+    is searched as before.  The timeout error also reports how many images
+    the first vertex may take.
     """
     if timeout is not None and not timeout > 0:  # also refuses nan
         raise ParameterDomainError(f"timeout={timeout} must be None or positive")
@@ -197,13 +325,16 @@ def find_embedding(
     # may only be the first unused vertex of its class.  Every embedding has
     # a class-permuted twin obeying this, so completeness is preserved while
     # the r!s!-style relabelling blowup of gray-heavy CRGs disappears.
-    classes = _interchangeable_classes(K)
+    classes = _interchangeable_classes(edge_ok, non_ok)
     successor = {}
     first_fresh_mask = 0
     for members in classes:
         first_fresh_mask |= 1 << members[0]
         for pos, v in enumerate(members[:-1]):
             successor[v] = members[pos + 1]
+    # Root-orbit rule (see above): it restricts depth 0 alone, so this mask
+    # must not enter the shared domain, which seeds every untouched position.
+    root_images = sum(1 << orbit[0] for orbit in _automorphism_orbits(edge_ok, non_ok, classes))
 
     # first[d] and last[d] are the first and last positions adjacent to
     # position d, or d itself.
@@ -256,6 +387,8 @@ def find_embedding(
         steps = plan[depth]
         key = None
         candidates = domains[own[depth]] & (used | fresh)
+        if not depth:
+            candidates &= root_images
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -265,7 +398,8 @@ def find_embedding(
                 if time.monotonic() > deadline:
                     raise EmbedTimeoutError(
                         f"embedding search exceeded {timeout} s after {nodes} nodes, "
-                        f"{refused} refused by the failed-state cache "
+                        f"{refused} refused by the failed-state cache, "
+                        f"{root_images.bit_count()} of {K.n} images open to the first vertex "
                         f"({H.n}-vertex graph into {K.n}-vertex CRG)"
                     )
             assignment[depth] = u

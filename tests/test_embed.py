@@ -1,11 +1,14 @@
 """Graph-into-CRG embedding search and the gray-cycle constructions."""
 
+import itertools
 import random
 
 import pytest
 
 from edcycles.crg import BLACK, GRAY, WHITE, crg_from_pairs, k_rs, random_crg, sub_crg
 from edcycles.embed import (
+    _automorphism_orbits,
+    _feasibility_masks,
     _interchangeable_classes,
     _search_order,
     embeds,
@@ -18,6 +21,14 @@ from edcycles.embed import (
 from edcycles.errors import EmbedTimeoutError, ParameterDomainError, SizeExceededError
 from edcycles.graphs import Graph, PowerCycleParams, partitionable, power_cycle
 from edcycles.spectrum import power_cycle_spectrum
+
+
+def twin_classes(K):
+    return _interchangeable_classes(*_feasibility_masks(K))
+
+
+def orbits(K):
+    return _automorphism_orbits(*_feasibility_masks(K), twin_classes(K))
 
 
 def random_graph(rng, n, density=0.5):
@@ -149,7 +160,7 @@ def plain_find_embedding(H, K):
     }
     order = _search_order(H)
     successor, first_fresh = {}, 0
-    for members in _interchangeable_classes(K):
+    for members in twin_classes(K):
         first_fresh |= 1 << members[0]
         successor.update(zip(members, members[1:]))
     images = [0] * n
@@ -184,8 +195,8 @@ def plain_find_embedding(H, K):
 
 
 def test_find_embedding_returns_the_plain_searchs_witness():
-    # the shared domain and the failed-state cache change the work, never
-    # which witness comes first
+    # the shared domain, the failed-state cache and the root-orbit rule
+    # change the work, never which witness comes first
     rng = random.Random(47)
     pairs = []
     for _ in range(400):
@@ -199,6 +210,13 @@ def test_find_embedding_returns_the_plain_searchs_witness():
         for a in range(t + 1):
             for k in range(2, 8 - a):
                 pairs.append((power_cycle(h, t), gray_cycle_crg(a, k)))
+    # refutations that the root-orbit rule shortens: one white vertex with a
+    # gray cycle one short of ell(1), and no white vertex one short of ell(0)
+    for h in range(14, 21):
+        pairs.append((power_cycle(h, 2), gray_cycle_crg(1, PowerCycleParams(h, 2).ell(1) - 1)))
+    for t, hs in ((1, range(8, 16)), (2, range(12, 22)), (3, range(16, 22))):
+        for h in hs:
+            pairs.append((power_cycle(h, t), gray_cycle_crg(0, PowerCycleParams(h, t).ell(0) - 1)))
     found = 0
     for H, K in pairs:
         phi = find_embedding(H, K, timeout=None)
@@ -224,7 +242,7 @@ def test_interchangeable_classes_are_automorphism_orbits():
     crgs = [random_crg(rng, rng.randint(2, 7)) for _ in range(40)]
     crgs += [k_rs(3, 3), gray_cycle_crg(2, 5)]
     for K in crgs:
-        for members in _interchangeable_classes(K):
+        for members in twin_classes(K):
             for a in members:
                 for b in members:
                     if a == b:
@@ -234,6 +252,78 @@ def test_interchangeable_classes_are_automorphism_orbits():
                         if w in (a, b):
                             continue
                         assert K.edge_color(a, w) == K.edge_color(b, w), (K, a, b, w)
+
+
+def brute_orbits(K):
+    """Orbits of Aut(K) from every permutation of V(K), each in vertex order."""
+    images = [set() for _ in range(K.n)]
+    for sigma in itertools.permutations(range(K.n)):
+        if all(K.vertex_colors[u] == K.vertex_colors[sigma[u]] for u in range(K.n)) and all(
+            K.edge_color(sigma[i], sigma[j]) == color for i, j, color in K.pairs()
+        ):
+            for u in range(K.n):
+                images[u].add(sigma[u])
+    return sorted({tuple(sorted(orbit)) for orbit in images})
+
+
+def crg_fixed_by(rng, pi):
+    """A random CRG that the permutation pi maps onto itself: one color per
+    cycle of pi on the vertices and one per orbit of pi on the pairs."""
+    n = len(pi)
+    vertex_colors, pair_colors = {}, {}
+    for u in range(n):
+        if u not in vertex_colors:
+            color, w = rng.choice((WHITE, BLACK)), u
+            while w not in vertex_colors:
+                vertex_colors[w], w = color, pi[w]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in pair_colors:
+                color, pair = rng.choice((WHITE, GRAY, BLACK)), (i, j)
+                while pair not in pair_colors:
+                    pair_colors[pair] = color
+                    pair = tuple(sorted((pi[pair[0]], pi[pair[1]])))
+    return crg_from_pairs(
+        [vertex_colors[u] for u in range(n)], [(i, j, c) for (i, j), c in pair_colors.items()]
+    )
+
+
+def test_automorphism_orbits_match_brute_force():
+    rng = random.Random(71)
+    crgs = [
+        random_crg(rng, rng.randint(1, 6), gray_weight=rng.choice((1.0, 3.0, 10.0)))
+        for _ in range(150)
+    ]
+    for _ in range(150):
+        pi = list(range(rng.randint(2, 6)))
+        rng.shuffle(pi)
+        crgs.append(crg_fixed_by(rng, pi))
+    beyond_twins = 0
+    for K in crgs:
+        found = orbits(K)
+        assert [tuple(orbit) for orbit in found] == brute_orbits(K), K
+        beyond_twins += len(found) < len(twin_classes(K))
+    # many orbits join vertices that are not twins, as on a gray cycle
+    assert beyond_twins > 25
+
+
+def test_automorphism_orbits_of_three_shapes():
+    # the black vertices of a gray k-cycle are one orbit, though for k >= 4
+    # no two are twins
+    for a in range(3):
+        for k in range(3, 9):
+            whites, blacks = list(range(a)), list(range(a, a + k))
+            assert orbits(gray_cycle_crg(a, k)) == ([whites] if a else []) + [blacks]
+    # no two vertices share a color signature, so none moves
+    rigid = crg_from_pairs(
+        (BLACK,) * 4,
+        [(0, 1, GRAY), (0, 2, WHITE), (0, 3, WHITE), (1, 2, GRAY), (1, 3, WHITE), (2, 3, BLACK)],
+    )
+    assert orbits(rigid) == [[0], [1], [2], [3]]
+    for r in range(4):
+        for s in range(4):
+            if r + s:
+                assert orbits(k_rs(r, s)) == twin_classes(k_rs(r, s))
 
 
 def test_monotone_under_super_crg():
@@ -293,6 +383,16 @@ def test_timeout_reports_cache_refusals():
         embeds(clique, K, timeout=1e-9)
 
 
+def test_timeout_reports_root_images():
+    # the first vertex may take only the least vertex of each Aut(K) orbit:
+    # one for the black gray cycle, one per color for K(r, s)
+    root = r"refused by the failed-state cache, {} of {} images open to the first vertex"
+    with pytest.raises(EmbedTimeoutError, match=root.format(1, 14)):
+        embeds(power_cycle(29, 1), gray_cycle_crg(0, 14), timeout=1e-9)
+    with pytest.raises(EmbedTimeoutError, match=root.format(2, 7)):
+        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+
+
 @pytest.mark.parametrize(
     "h, t, K, refused",
     [
@@ -300,10 +400,10 @@ def test_timeout_reports_cache_refusals():
         (25, 3, k_rs(3, 3), 138),
         (26, 2, k_rs(2, 5), 232),
         # black images on a gray cycle: the shared domain empties once every
-        # image is used, and without that prune the count reads 51
-        (25, 3, gray_cycle_crg(0, 6), 54),
+        # image is used, and without that prune the count reads 180
+        (29, 1, gray_cycle_crg(0, 14), 186),
     ],
-    ids=["C33_3-K3_4", "C25_3-K3_3", "C26_2-K2_5", "C25_3-gray6"],
+    ids=["C33_3-K3_4", "C25_3-K3_3", "C26_2-K2_5", "C29_1-gray14"],
 )
 def test_timeout_message_pins_the_traversal(h, t, K, refused):
     # the first 1024 nodes and the refusals among them depend on the order
