@@ -17,6 +17,7 @@ from .crg import (
     crg_from_json,
     crg_from_pairs,
     crg_to_json,
+    k_a_g,
     k_rs,
     random_crg,
     rate_matrix,

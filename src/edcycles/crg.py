@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ParameterDomainError
+from .graphs import Graph
 from .rationals import Number, json_int, json_list, to_probability
 
 WHITE = "white"
@@ -106,11 +108,25 @@ def color_swap(K: Crg) -> Crg:
     )
 
 
+def k_a_g(a: int, G: Graph) -> Crg:
+    """K(a, G): a white vertices followed by G's vertices, in order, in black.
+
+    Every pair at a white vertex is gray.  Two black vertices are joined in
+    gray on an edge of G and in white elsewhere.
+    """
+    if a < 0:
+        raise ParameterDomainError("white vertex count must be nonnegative")
+    white_pairs = [
+        (a + i, a + j, WHITE) for i, j in combinations(range(G.n), 2) if not G.adjacent(i, j)
+    ]
+    return crg_from_pairs((WHITE,) * a + (BLACK,) * G.n, white_pairs)
+
+
 def k_rs(r: int, s: int) -> Crg:
     """All-gray CRG with r white vertices followed by s black vertices."""
     if r < 0 or s < 0:
         raise ParameterDomainError("vertex counts must be nonnegative")
-    return crg_from_pairs((WHITE,) * r + (BLACK,) * s)
+    return k_a_g(r, Graph(s, frozenset(combinations(range(s), 2))))
 
 
 def rate_matrix(K: Crg, p: Number) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -34,6 +34,19 @@ node whose pair already failed at its depth is refused without a search.
 That is why refuting a cycle power, whose vertices die soon after their last
 band neighbour is placed, walks over few distinct states.
 
+The tables the search only reads are built once per graph and once per CRG,
+not once per call.  Per graph: the search order, each depth's domain steps,
+and the live and dying positions with the depths that keep a failed-state
+cache.  Per CRG: the feasibility masks, the twin classes' fill order and the
+root images of the Aut(K) orbits.  Each is a function of the graph's or the
+CRG's value alone, so a cache keyed by that value is exact: equal inputs
+get equal tables, whatever object carries them.  The tables are tuples, so
+no call can change what the next one reads.  The failed states depend on
+both the graph and the CRG, so they stay per call.  The cases the package
+checks ask about the same few graphs and CRGs again and again: one round of
+the `embed` workload in bench/ makes 306 calls on 24 distinct graphs and 39
+distinct CRGs.
+
 The relation is NP-hard in general, so calls carry an explicit time budget
 and raise instead of guessing when it runs out.
 """
@@ -42,8 +55,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
-from .crg import BLACK, GRAY, WHITE, Crg, crg_from_pairs, k_rs
+from .crg import BLACK, GRAY, WHITE, Crg, k_a_g, k_rs
 from .errors import EmbedTimeoutError, ParameterDomainError, SizeExceededError
 from .graphs import Graph, PowerCycleParams, gray_window_h_min
 
@@ -54,24 +68,24 @@ _TIME_CHECK_MASK = 0x3FF
 
 
 def verify_embedding(H: Graph, K: Crg, phi) -> bool:
-    """Check the embedding conditions pair by pair, independent of any search."""
+    """Check the embedding conditions on every pair of H-vertices, independent
+    of any search.
+
+    color[u][w] is the color of the pair uw of K and color[u][u] that of the
+    vertex u.  A pair of H-vertices fails when it is an edge whose images
+    meet in white or a non-edge whose images meet in black, whether the two
+    images differ or coincide.
+    """
     if len(phi) != H.n or any(not 0 <= u < K.n for u in phi):
         return False
-    for i in range(H.n):
+    color = [[c] * K.n for c in K.vertex_colors]
+    for u, w, c in K.pairs():
+        color[u][w] = color[w][u] = c
+    for i, mask in enumerate(H.adjacency_masks):
+        row = color[phi[i]]
         for j in range(i + 1, H.n):
-            u, w = phi[i], phi[j]
-            if H.adjacent(i, j):
-                if u == w:
-                    if K.vertex_colors[u] != BLACK:
-                        return False
-                elif K.edge_color(u, w) == WHITE:
-                    return False
-            else:
-                if u == w:
-                    if K.vertex_colors[u] != WHITE:
-                        return False
-                elif K.edge_color(u, w) == BLACK:
-                    return False
+            if row[phi[j]] == (WHITE if mask >> j & 1 else BLACK):
+                return False
     return True
 
 
@@ -245,6 +259,97 @@ def _search_order(H: Graph) -> list[int]:
     return order
 
 
+@cache
+def _graph_plan(H: Graph) -> tuple:
+    """The search's tables that depend on H alone, as nested tuples.
+
+    Returns (order, plan, own, live, dies, keeps), indexed by depth, that is
+    by position in the search order.  Cached by value: the tables are a
+    function of H's vertex count and edge set, so equal graphs share them,
+    and tuples keep any call from changing what the next one reads.
+    """
+    order = _search_order(H)
+    n = H.n
+    adj = H.adjacency_masks
+    # adjacency between order positions: adjacent_positions[d2][d] is order[d2] ~ order[d]
+    adjacent_positions = [
+        [bool(adj[order[d2]] >> order[d] & 1) for d in range(n)] for d2 in range(n)
+    ]
+
+    # first[d] and last[d] are the first and last positions adjacent to
+    # position d, or d itself.
+    first = list(range(n))
+    last = list(range(n))
+    for d2 in range(n):
+        for d in range(d2):
+            if adjacent_positions[d2][d]:
+                first[d2] = min(first[d2], d)
+                last[d] = d2
+
+    # Shared domain.  Position d >= D is touched at depth D once first[d] < D.
+    # A node at depth D holds the domains of touched[D] in that order, then
+    # the shared domain while some position >= D is untouched; own[D] indexes
+    # position D's domain.  plan[D] builds the child's list: for each entry,
+    # the index of its domain in the parent's list (-1, the shared domain, for
+    # a position that D touches first) and whether it is adjacent to D; a
+    # last (-1, False) carries the shared domain on.
+    touched = [[d for d in range(depth, n) if first[d] < depth] for depth in range(n + 1)]
+    own = tuple(
+        touched[depth].index(depth) if depth in touched[depth] else -1 for depth in range(n)
+    )
+    plan = []
+    for depth in range(n):
+        parent = touched[depth]
+        steps = [
+            (parent.index(d) if d in parent else -1, adjacent_positions[d][depth])
+            for d in touched[depth + 1]
+        ]
+        if len(touched[depth + 1]) < n - depth - 1:
+            steps.append((-1, False))
+        plan.append(tuple(steps))
+
+    # Failed-state cache.  Position d is live at depth D > d while
+    # last[d] >= D and dead after.  live[D] lists the live positions at depth
+    # D and dies[D] those that turn dead on reaching it; keeps[D] says whether
+    # depth D has a dead position, and so keeps a cache.
+    live = tuple(tuple(d for d in range(depth) if last[d] >= depth) for depth in range(n))
+    dies = [[] for _ in range(n + 1)]
+    for d in range(n):
+        dies[last[d] + 1].append(d)
+    keeps = tuple(len(live[depth]) < depth for depth in range(n))
+    return tuple(order), tuple(plan), own, live, tuple(map(tuple, dies)), keeps
+
+
+@cache
+def _crg_plan(K: Crg) -> tuple:
+    """The search's tables that depend on K alone, as tuples and ints.
+
+    Returns (edge_ok, non_ok, successor, first_fresh, root_images): the
+    feasibility masks; successor[u], the bit of the member after u in its
+    twin class, or 0 for the last; the mask of each class's first member;
+    and the mask of each Aut(K) orbit's least vertex.  Cached by value, like
+    _graph_plan: the tables are a function of K's colors alone, and the
+    automorphism search with its self-check runs once per distinct K.
+    """
+    edge_ok, non_ok = _feasibility_masks(K)
+    # Interchangeable-class rule: the image of a fresh (so far unused) vertex
+    # may only be the first unused vertex of its class.  Every embedding has
+    # a class-permuted twin obeying this, so completeness is preserved while
+    # the r!s!-style relabelling blowup of gray-heavy CRGs disappears.
+    classes = _interchangeable_classes(edge_ok, non_ok)
+    successor = [0] * K.n
+    first_fresh = 0
+    for members in classes:
+        first_fresh |= 1 << members[0]
+        for v, nxt in zip(members, members[1:]):
+            successor[v] = 1 << nxt
+    # Root-orbit rule (see find_embedding): it restricts depth 0 alone, so
+    # this mask must not enter the shared domain, which seeds every
+    # untouched position.
+    root_images = sum(1 << orbit[0] for orbit in _automorphism_orbits(edge_ok, non_ok, classes))
+    return tuple(edge_ok), tuple(non_ok), tuple(successor), first_fresh, root_images
+
+
 def find_embedding(
     H: Graph,
     K: Crg,
@@ -259,6 +364,11 @@ def find_embedding(
     timeout is None (no deadline) or a positive number of seconds; the
     timeout error reports the nodes searched and how many the failed-state
     cache refused.
+
+    The tables that depend on H alone come from _graph_plan(H), and those
+    that depend on K alone from _crg_plan(K).  Both are cached by value and
+    built before the deadline starts.  The failed-state sets, the
+    assignment, the counters and the deadline belong to the call.
 
     Domains are kept only for touched positions, those with a placed
     H-neighbour.  Every untouched later position has met only non-edge rows,
@@ -311,69 +421,10 @@ def find_embedding(
     if H.n == 0:
         return ()
 
-    edge_ok, non_ok = _feasibility_masks(K)
-    order = _search_order(H)
+    order, plan, own, live, dies, keeps = _graph_plan(H)
+    edge_ok, non_ok, successor, first_fresh, root_images = _crg_plan(K)
     n = H.n
-    adj = H.adjacency_masks
-    # adjacency between order positions: adjacent_positions[d2][d] is order[d2] ~ order[d]
-    adjacent_positions = [
-        [bool(adj[order[d2]] >> order[d] & 1) for d in range(n)] for d2 in range(n)
-    ]
-    full = (1 << K.n) - 1
-
-    # Interchangeable-class rule: the image of a fresh (so far unused) vertex
-    # may only be the first unused vertex of its class.  Every embedding has
-    # a class-permuted twin obeying this, so completeness is preserved while
-    # the r!s!-style relabelling blowup of gray-heavy CRGs disappears.
-    classes = _interchangeable_classes(edge_ok, non_ok)
-    successor = {}
-    first_fresh_mask = 0
-    for members in classes:
-        first_fresh_mask |= 1 << members[0]
-        for pos, v in enumerate(members[:-1]):
-            successor[v] = members[pos + 1]
-    # Root-orbit rule (see above): it restricts depth 0 alone, so this mask
-    # must not enter the shared domain, which seeds every untouched position.
-    root_images = sum(1 << orbit[0] for orbit in _automorphism_orbits(edge_ok, non_ok, classes))
-
-    # first[d] and last[d] are the first and last positions adjacent to
-    # position d, or d itself.
-    first = list(range(n))
-    last = list(range(n))
-    for d2 in range(n):
-        for d in range(d2):
-            if adjacent_positions[d2][d]:
-                first[d2] = min(first[d2], d)
-                last[d] = d2
-
-    # Shared domain.  Position d >= D is touched at depth D once first[d] < D.
-    # A node at depth D holds the domains of touched[D] in that order, then
-    # the shared domain while some position >= D is untouched; own[D] indexes
-    # position D's domain.  plan[D] builds the child's list: for each entry,
-    # the index of its domain in the parent's list (-1, the shared domain, for
-    # a position that D touches first) and whether it is adjacent to D; a
-    # last (-1, False) carries the shared domain on.
-    touched = [[d for d in range(depth, n) if first[d] < depth] for depth in range(n + 1)]
-    own = [touched[depth].index(depth) if depth in touched[depth] else -1 for depth in range(n)]
-    plan = []
-    for depth in range(n):
-        parent = touched[depth]
-        steps = [
-            (parent.index(d) if d in parent else -1, adjacent_positions[d][depth])
-            for d in touched[depth + 1]
-        ]
-        if len(touched[depth + 1]) < n - depth - 1:
-            steps.append((-1, False))
-        plan.append(steps)
-
-    # Failed-state cache.  Position d is live at depth D > d while
-    # last[d] >= D and dead after.  live[D] lists the live positions at depth
-    # D and dies[D] those that turn dead on reaching it.
-    live = [[d for d in range(depth) if last[d] >= depth] for depth in range(n)]
-    dies = [[] for _ in range(n + 1)]
-    for d in range(n):
-        dies[last[d] + 1].append(d)
-    failed = [set() if len(live[depth]) < depth else None for depth in range(n)]
+    failed = [set() if keep else None for keep in keeps]
     width = K.n.bit_length()
 
     assignment = [0] * n
@@ -407,10 +458,7 @@ def find_embedding(
                 return True
             if low & fresh:
                 new_used = used | low
-                new_fresh = fresh ^ low
-                nxt = successor.get(u)
-                if nxt is not None:
-                    new_fresh |= 1 << nxt
+                new_fresh = fresh ^ low | successor[u]
             else:
                 new_used, new_fresh = used, fresh
             erow = edge_ok[u]
@@ -439,7 +487,7 @@ def find_embedding(
             seen.add(key)
         return False
 
-    if extend(0, [full], 0, first_fresh_mask, 0):
+    if extend(0, [(1 << K.n) - 1], 0, first_fresh, 0):
         phi = [0] * n
         for d, v in enumerate(order):
             phi[v] = assignment[d]
@@ -455,24 +503,16 @@ def embeds(H: Graph, K: Crg, *, timeout: float | None = DEFAULT_TIMEOUT) -> bool
 
 
 def gray_cycle_crg(white_count: int, cycle_length: int) -> Crg:
-    """CRG made of isolated-looking white vertices and a black gray cycle.
+    """K(a, C_k): a white vertices beside a black gray k-cycle.
 
     All edges touching a white vertex are gray; the black vertices carry a
     gray cycle of the given length (a length-2 cycle means a single gray
     edge) and white edges elsewhere.
     """
-    if white_count < 0:
-        raise ParameterDomainError("white_count must be nonnegative")
     if cycle_length < 2:
         raise ParameterDomainError("gray cycle length must be at least 2")
-    a, k = white_count, cycle_length
-    colors = (WHITE,) * a + (BLACK,) * k
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            pairs.append((a + i, a + j, GRAY if consecutive else WHITE))
-    return crg_from_pairs(colors, pairs)
+    k = cycle_length
+    return k_a_g(white_count, Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)]))
 
 
 @dataclass

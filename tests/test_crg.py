@@ -19,15 +19,17 @@ from edcycles.crg import (
     crg_from_json,
     crg_from_pairs,
     crg_to_json,
+    k_a_g,
     k_rs,
     random_crg,
     rate_matrix,
     standard_corpus,
     sub_crg,
 )
+from edcycles.embed import gray_cycle_crg
 from edcycles.errors import ParameterDomainError, SizeExceededError
-from edcycles.gfunction import is_p_core, p_core_structure_ok
-from edcycles.graphs import graph_from_json
+from edcycles.gfunction import g_value, is_p_core, p_core_structure_ok
+from edcycles.graphs import Graph, graph_from_json, power_cycle
 from test_gfunction import fraction_rates, reference_g_value
 
 
@@ -42,6 +44,53 @@ def test_k_rs_shape():
 def test_k_rs_rejects_empty():
     with pytest.raises(ParameterDomainError):
         k_rs(0, 0)
+
+
+def reference_k_rs(r, s):
+    return crg_from_pairs((WHITE,) * r + (BLACK,) * s)
+
+
+def reference_gray_cycle_crg(a, k):
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j - i == 1 or (i == 0 and j == k - 1)
+            pairs.append((a + i, a + j, GRAY if consecutive else WHITE))
+    return crg_from_pairs((WHITE,) * a + (BLACK,) * k, pairs)
+
+
+def test_k_a_g_builds_k_rs_and_gray_cycles_field_for_field():
+    # both are K(a, G), G complete or a cycle; k = 2 is one gray edge
+    for r in range(7):
+        for s in range(7):
+            if r + s:
+                assert k_rs(r, s) == reference_k_rs(r, s), (r, s)
+    for a in range(4):
+        for k in range(2, 12):
+            assert gray_cycle_crg(a, k) == reference_gray_cycle_crg(a, k), (a, k)
+    with pytest.raises(ParameterDomainError):
+        k_a_g(-1, Graph.from_edges(2, []))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+def test_k_a_g_white_vertices_add_reciprocally(p):
+    # each white vertex of K(a, G) meets everything in gray, so it is a
+    # component of its own with g = p, and g(K(a, G)) = 1/(a/p + 1/g(K(0, G)));
+    # the joint sweep confirms the rule rather than assume it
+    graphs = [
+        Graph.from_edges(1, []),
+        Graph.from_edges(2, []),
+        Graph.from_edges(2, [(0, 1)]),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        power_cycle(4, 1),
+        power_cycle(5, 1),
+        Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+    ]
+    for G in graphs:
+        black_part = g_value(k_a_g(0, G), p).value
+        for a in range(1, 4):
+            joint = g_value(k_a_g(a, G), p, decompose=False).value
+            assert joint == 1 / (a / p + 1 / black_part), (G, a, p)
 
 
 def test_rate_matrix_k11():

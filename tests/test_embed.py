@@ -1,14 +1,31 @@
 """Graph-into-CRG embedding search and the gray-cycle constructions."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from edcycles.crg import BLACK, GRAY, WHITE, crg_from_pairs, k_rs, random_crg, sub_crg
+from edcycles.crg import (
+    BLACK,
+    GRAY,
+    WHITE,
+    crg_from_json,
+    crg_from_pairs,
+    crg_to_json,
+    k_rs,
+    random_crg,
+    sub_crg,
+)
 from edcycles.embed import (
     _automorphism_orbits,
+    _crg_plan,
     _feasibility_masks,
+    _graph_plan,
     _interchangeable_classes,
     _search_order,
     embeds,
@@ -36,6 +53,59 @@ def random_graph(rng, n, density=0.5):
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
     ]
     return Graph.from_edges(n, edges)
+
+
+def reference_verify_embedding(H, K, phi):
+    """The embedding conditions checked pair by pair through Graph.adjacent
+    and Crg.edge_color, as the reference for verify_embedding."""
+    if len(phi) != H.n or any(not 0 <= u < K.n for u in phi):
+        return False
+    for i in range(H.n):
+        for j in range(i + 1, H.n):
+            u, w = phi[i], phi[j]
+            if H.adjacent(i, j):
+                if u == w:
+                    if K.vertex_colors[u] != BLACK:
+                        return False
+                elif K.edge_color(u, w) == WHITE:
+                    return False
+            else:
+                if u == w:
+                    if K.vertex_colors[u] != WHITE:
+                        return False
+                elif K.edge_color(u, w) == BLACK:
+                    return False
+    return True
+
+
+def test_verify_embedding_matches_the_reference_on_every_small_map():
+    rng = random.Random(89)
+    crgs = [random_crg(rng, rng.randint(1, 4), rng.choice((0.5, 1.0))) for _ in range(60)]
+    graphs = [
+        Graph.from_edges(n, edges)
+        for n in (2, 3)
+        for m in range(n * (n - 1) // 2 + 1)
+        for edges in itertools.combinations(itertools.combinations(range(n), 2), m)
+    ]
+    verdicts = []
+    for H in graphs:
+        for K in crgs:
+            for phi in itertools.product(range(K.n), repeat=H.n):
+                verdict = verify_embedding(H, K, phi)
+                assert verdict == reference_verify_embedding(H, K, phi), (H, K, phi)
+                verdicts.append(verdict)
+    assert len(graphs) == 10
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_verify_embedding_refuses_malformed_maps():
+    H, K = power_cycle(5, 1), k_rs(2, 3)
+    phi = find_embedding(H, K, timeout=None)
+    assert verify_embedding(H, K, phi)
+    bad = [(), phi[:-1], phi + (0,), (-1,) + phi[1:], phi[:-1] + (K.n,), phi[:2] + (99,) + phi[3:]]
+    for wrong in bad:
+        assert not verify_embedding(H, K, wrong), wrong
+        assert not reference_verify_embedding(H, K, wrong), wrong
 
 
 def test_c8_gray_triangle_and_square():
@@ -101,7 +171,7 @@ def brute_embeds(H, K):
     """Test every map V(H) -> V(K) at once.  Map m is bit m of an int, and
     its base-K.n digit i is the image of vertex i.  The embedding conditions
     are pairwise, so a map fails when some H-pair lands on an image pair that
-    verify_embedding refuses for a two-vertex non-edge or edge."""
+    reference_verify_embedding refuses for a two-vertex non-edge or edge."""
     k, n = K.n, H.n
     every_map = (1 << k**n) - 1
     sends = []  # sends[i][u]: the maps that send vertex i to u
@@ -110,7 +180,7 @@ def brute_embeds(H, K):
         each_period = every_map // ((1 << period) - 1)  # bit 0 of every period
         sends.append([(block << u * k**i) * each_period for u in range(k)])
     fits = [  # fits[adjacent][u][w]
-        [[verify_embedding(pair, K, (u, w)) for w in range(k)] for u in range(k)]
+        [[reference_verify_embedding(pair, K, (u, w)) for w in range(k)] for u in range(k)]
         for pair in (Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)]))
     ]
     failing = 0
@@ -153,7 +223,7 @@ def plain_find_embedding(H, K):
     pairs = {False: Graph.from_edges(2, []), True: Graph.from_edges(2, [(0, 1)])}
     rows = {  # rows[adjacent][u]: images w that may sit beside image u
         adjacent: [
-            sum(1 << w for w in range(K.n) if verify_embedding(pair, K, (u, w)))
+            sum(1 << w for w in range(K.n) if reference_verify_embedding(pair, K, (u, w)))
             for u in range(K.n)
         ]
         for adjacent, pair in pairs.items()
@@ -223,6 +293,65 @@ def test_find_embedding_returns_the_plain_searchs_witness():
         assert phi == plain_find_embedding(H, K), (H, K)
         found += phi is not None
     assert 100 < found < len(pairs) - 100
+
+
+def is_frozen(value):
+    """True for an int, or a tuple of frozen values at every depth."""
+    if isinstance(value, tuple):
+        return all(is_frozen(item) for item in value)
+    return isinstance(value, int)
+
+
+def test_cached_plans_are_tuples():
+    for H in (power_cycle(13, 2), banded_graph(7, 2), Graph.from_edges(4, [])):
+        plan = _graph_plan(H)
+        assert len(plan) == 6 and is_frozen(plan)
+    for K in (k_rs(2, 3), gray_cycle_crg(1, 6), random_crg(random.Random(3), 5)):
+        plan = _crg_plan(K)
+        assert len(plan) == 5 and is_frozen(plan)
+
+
+def test_equal_inputs_share_plans_and_witness():
+    # the plans are cached by value: a graph and a CRG rebuilt from scratch
+    # are equal to the originals, so they read the same tables and give the
+    # same witness, whichever of the two objects is passed
+    rng = random.Random(53)
+    pairs = [(power_cycle(13, 2), gray_cycle_crg(1, 5)), (power_cycle(9, 1), k_rs(1, 4))]
+    pairs += [(random_graph(rng, 7, 0.4), random_crg(rng, rng.randint(2, 4))) for _ in range(20)]
+    found = 0
+    for H, K in pairs:
+        phi = find_embedding(H, K, timeout=None)
+        found += phi is not None
+        H2 = Graph.from_edges(H.n, sorted(H.edges))
+        K2 = crg_from_json(json.dumps(crg_to_json(K)))
+        assert H2 is not H and H2 == H
+        assert K2 is not K and K2 == K
+        assert _graph_plan(H2) is _graph_plan(H)
+        assert _crg_plan(K2) is _crg_plan(K)
+        for pair in ((H2, K2), (H2, K), (H, K2)):
+            assert find_embedding(*pair, timeout=None) == phi, (H, K)
+    assert 5 < found < len(pairs) - 5
+
+
+def test_witness_after_a_timeout_matches_a_fresh_process():
+    # a satisfiable search of more than 1024 nodes, stopped at the first
+    # clock read, must leave nothing behind that the next call would read
+    H, K = power_cycle(28, 2), gray_cycle_crg(2, 7)
+    with pytest.raises(EmbedTimeoutError, match="after 1024 nodes"):
+        find_embedding(H, K, timeout=1e-9)
+    phi = find_embedding(H, K, timeout=None)
+    assert phi is not None and verify_embedding(H, K, phi)
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from edcycles import find_embedding, gray_cycle_crg, power_cycle\n"
+        "print(list(find_embedding(power_cycle(28, 2), gray_cycle_crg(2, 7), timeout=None)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == list(phi)
 
 
 def test_shared_domain_alone_refutes():
