@@ -40,7 +40,6 @@ from .curves import (
 )
 from .embed import (
     GrayCycleReport,
-    embeds,
     find_embedding,
     gray_cycle_crg,
     gray_cycle_embedding_report,

@@ -24,15 +24,13 @@ each rotation of the root image.  The witness returned stays the same (see
 find_embedding).
 
 Each call also caches the search states that failed.  Once a vertex has no
-H-neighbour left to place it is dead: it filters every later domain by the
-same non-edge row of its image, so only the set of dead images matters, not
-which vertex carries which.  The vertices still awaiting a neighbour are
-live, and their images count one by one.  The images in use and the twin
-classes' next fresh vertices follow from those two, so the pair (live
-images in order, set of dead images) fixes everything below the node.  A
-node whose pair already failed at its depth is refused without a search.
-That is why refuting a cycle power, whose vertices die soon after their last
-band neighbour is placed, walks over few distinct states.
+H-neighbour left to place it is dead, and only the set of dead images
+matters; the vertices still awaiting a neighbour are live, and their images
+count one by one.  So a node whose pair (live images in order, set of dead
+images) already failed at its depth is refused without a search; the
+argument is in find_embedding.  That is why refuting a cycle power, whose
+vertices die soon after their last band neighbour is placed, walks over few
+distinct states.
 
 The tables the search only reads are built once per graph and once per CRG,
 not once per call.  Per graph: the search order, each depth's domain steps,
@@ -139,10 +137,10 @@ def _interchangeable_classes(edge_ok: list[int], non_ok: list[int]) -> list[list
 
 
 def _automorphism_orbits(
-    edge_ok: list[int], non_ok: list[int], classes: list[list[int]]
+    edge_ok: list[int], non_ok: list[int], successor: list[int], first_fresh: int
 ) -> list[list[int]]:
     """Partition V(K) into the orbits of Aut(K), each in vertex order, from
-    K's feasibility masks and twin classes.
+    K's feasibility masks and the twin classes' fill order of _crg_plan.
 
     An automorphism keeps every vertex and edge color, so it is a
     permutation sigma that keeps both feasibility relations: w is in
@@ -158,9 +156,9 @@ def _automorphism_orbits(
     """
     n = len(edge_ok)
     least = list(range(n))  # least[u]: the least vertex of u's orbit so far
-    for members in classes:
-        for u in members:
-            least[u] = members[0]
+    for u in range(n):
+        if successor[u]:
+            least[successor[u].bit_length() - 1] = least[u]
     signature = [
         (row >> u & 1, row.bit_count(), non_ok[u].bit_count()) for u, row in enumerate(edge_ok)
     ]
@@ -170,14 +168,10 @@ def _automorphism_orbits(
     alike = [groups[key] for key in signature]
 
     def sending(r: int, v: int) -> list[int] | None:
-        # Twin-class members are interchangeable as images too, so each class
-        # other than v fills in class order, as in find_embedding.
-        successor, fresh = {}, 1 << v
-        for members in classes:
-            rest = [u for u in members if u != v]
-            if rest:
-                fresh |= 1 << rest[0]
-                successor.update(zip(rest, rest[1:]))
+        # Twin-class members are interchangeable as images too, so every
+        # class fills in class order, as in find_embedding.  v is the first
+        # member of its class, since twins are joined above, and r takes it
+        # before anything else is placed.
         order = [r] + [x for x in range(n) if x != r]
         image = [0] * n
 
@@ -200,17 +194,13 @@ def _automorphism_orbits(
                         break
                     new_domains[x2] = domain
                 else:
-                    nxt = successor.get(y)
-                    new_fresh = fresh ^ low
-                    if nxt is not None:
-                        new_fresh |= 1 << nxt
-                    if extend(i + 1, new_domains, new_fresh):
+                    if extend(i + 1, new_domains, fresh ^ low | successor[y]):
                         return True
             return False
 
         domains = alike[:]
         domains[r] = 1 << v
-        return image if extend(0, domains, fresh) else None
+        return image if extend(0, domains, first_fresh) else None
 
     for v in range(n):
         for r in range(v):
@@ -266,25 +256,22 @@ def _graph_plan(H: Graph) -> tuple:
     Returns (order, plan, own, live, dies, keeps), indexed by depth, that is
     by position in the search order.  Cached by value: the tables are a
     function of H's vertex count and edge set, so equal graphs share them,
-    and tuples keep any call from changing what the next one reads.
+    and tuples keep any call from changing what the next one reads.  The
+    cache keeps every distinct graph for the life of the process;
+    _graph_plan.cache_clear() releases them.
     """
     order = _search_order(H)
     n = H.n
-    adj = H.adjacency_masks
-    # adjacency between order positions: adjacent_positions[d2][d] is order[d2] ~ order[d]
-    adjacent_positions = [
-        [bool(adj[order[d2]] >> order[d] & 1) for d in range(n)] for d2 in range(n)
-    ]
-
-    # first[d] and last[d] are the first and last positions adjacent to
-    # position d, or d itself.
-    first = list(range(n))
-    last = list(range(n))
-    for d2 in range(n):
-        for d in range(d2):
-            if adjacent_positions[d2][d]:
-                first[d2] = min(first[d2], d)
-                last[d] = d2
+    # around[d]: bit d2 set when position d2 is position d or its H-neighbour,
+    # so its lowest and highest bits are first[d] and last[d], the first and
+    # last positions adjacent to d, or d itself.
+    position = {v: d for d, v in enumerate(order)}
+    around = [1 << d for d in range(n)]
+    for i, j in H.edges:
+        around[position[i]] |= 1 << position[j]
+        around[position[j]] |= 1 << position[i]
+    first = [(mask & -mask).bit_length() - 1 for mask in around]
+    last = [mask.bit_length() - 1 for mask in around]
 
     # Shared domain.  Position d >= D is touched at depth D once first[d] < D.
     # A node at depth D holds the domains of touched[D] in that order, then
@@ -301,7 +288,7 @@ def _graph_plan(H: Graph) -> tuple:
     for depth in range(n):
         parent = touched[depth]
         steps = [
-            (parent.index(d) if d in parent else -1, adjacent_positions[d][depth])
+            (parent.index(d) if d in parent else -1, bool(around[d] >> depth & 1))
             for d in touched[depth + 1]
         ]
         if len(touched[depth + 1]) < n - depth - 1:
@@ -329,24 +316,28 @@ def _crg_plan(K: Crg) -> tuple:
     twin class, or 0 for the last; the mask of each class's first member;
     and the mask of each Aut(K) orbit's least vertex.  Cached by value, like
     _graph_plan: the tables are a function of K's colors alone, and the
-    automorphism search with its self-check runs once per distinct K.
+    automorphism search with its self-check runs once per distinct K.  The
+    cache keeps every distinct CRG for the life of the process;
+    _crg_plan.cache_clear() releases them.
     """
     edge_ok, non_ok = _feasibility_masks(K)
-    # Interchangeable-class rule: the image of a fresh (so far unused) vertex
-    # may only be the first unused vertex of its class.  Every embedding has
-    # a class-permuted twin obeying this, so completeness is preserved while
-    # the r!s!-style relabelling blowup of gray-heavy CRGs disappears.
-    classes = _interchangeable_classes(edge_ok, non_ok)
+    # Interchangeable-class rule: each twin class fills in class order, so an
+    # image is open once it is in use or is its class's next member.  Every
+    # embedding has a class-permuted twin obeying this, so completeness is
+    # preserved while the r!s!-style relabelling blowup of gray-heavy CRGs
+    # disappears.  find_embedding and the automorphism search both read
+    # this one fill order.
     successor = [0] * K.n
     first_fresh = 0
-    for members in classes:
+    for members in _interchangeable_classes(edge_ok, non_ok):
         first_fresh |= 1 << members[0]
         for v, nxt in zip(members, members[1:]):
             successor[v] = 1 << nxt
     # Root-orbit rule (see find_embedding): it restricts depth 0 alone, so
     # this mask must not enter the shared domain, which seeds every
     # untouched position.
-    root_images = sum(1 << orbit[0] for orbit in _automorphism_orbits(edge_ok, non_ok, classes))
+    orbits = _automorphism_orbits(edge_ok, non_ok, successor, first_fresh)
+    root_images = sum(1 << orbit[0] for orbit in orbits)
     return tuple(edge_ok), tuple(non_ok), tuple(successor), first_fresh, root_images
 
 
@@ -380,15 +371,21 @@ def find_embedding(
     the same test as filtering every later domain, over a frontier of at
     most about 2t positions on a cycle power instead of all of them.
 
+    Open images.  The twin-class rule fills each class in order, so a node
+    keeps one mask, allowed: the images in use and the first member of each
+    class not yet in use.  Placing u hands the child allowed | successor[u];
+    for an image already in use that adds nothing, as its successor opened
+    when it was first placed.
+
     Failed states are cached per call and dropped when it returns.  At depth
     D of the search order, a placed position is live if some position >= D
     is its H-neighbour, and dead otherwise.  The rest of the search reads
-    the placed images only through the later domains, used and fresh.  A
-    dead image u enters every later domain as non_ok[u], so the dead images
-    count as a set; used is the union of all images, and fresh follows from
-    used because the twin-class rule fills each class in order.  So the
-    tuple of live images and the set of dead images fix the whole subtree,
-    and a state that failed once fails again: refusing it changes the work,
+    the placed images only through the later domains and allowed.  A dead
+    image u enters every later domain as non_ok[u], so the dead images
+    count as a set.  The images in use are the live images plus the dead
+    set, and allowed follows from them by the fill order.  So the tuple of
+    live images and the set of dead images fix the whole subtree, and a
+    state that failed once fails again: refusing it changes the work,
     never the answer or the witness.  The key packs both into one int, the
     dead-image mask followed by K.n.bit_length() bits per live image; the
     live positions are fixed by D, so the int determines the pair.  A node
@@ -432,12 +429,12 @@ def find_embedding(
     nodes = 0
     refused = 0
 
-    def extend(depth: int, domains: list[int], used: int, fresh: int, dead: int) -> bool:
+    def extend(depth: int, domains: list[int], allowed: int, dead: int) -> bool:
         nonlocal nodes, refused
         seen = failed[depth]
         steps = plan[depth]
         key = None
-        candidates = domains[own[depth]] & (used | fresh)
+        candidates = domains[own[depth]] & allowed
         if not depth:
             candidates &= root_images
         while candidates:
@@ -456,11 +453,6 @@ def find_embedding(
             assignment[depth] = u
             if depth + 1 == n:
                 return True
-            if low & fresh:
-                new_used = used | low
-                new_fresh = fresh ^ low | successor[u]
-            else:
-                new_used, new_fresh = used, fresh
             erow = edge_ok[u]
             nrow = non_ok[u]
             new_domains = []
@@ -481,13 +473,13 @@ def find_embedding(
             new_dead = dead
             for d in dies[depth + 1]:
                 new_dead |= 1 << assignment[d]
-            if extend(depth + 1, new_domains, new_used, new_fresh, new_dead):
+            if extend(depth + 1, new_domains, allowed | successor[u], new_dead):
                 return True
         if key is not None:
             seen.add(key)
         return False
 
-    if extend(0, [(1 << K.n) - 1], 0, first_fresh, 0):
+    if extend(0, [(1 << K.n) - 1], first_fresh, 0):
         phi = [0] * n
         for d, v in enumerate(order):
             phi[v] = assignment[d]
@@ -496,10 +488,6 @@ def find_embedding(
             raise RuntimeError("search produced a witness that fails re-verification")
         return phi
     return None
-
-
-def embeds(H: Graph, K: Crg, *, timeout: float | None = DEFAULT_TIMEOUT) -> bool:
-    return find_embedding(H, K, timeout=timeout) is not None
 
 
 def gray_cycle_crg(white_count: int, cycle_length: int) -> Crg:
@@ -556,8 +544,8 @@ def k_rs_boundary_cases(
     H = params.graph()
     t = params.t
     lt = params.ell(t)
-    inside = embeds(H, k_rs(t, lt), timeout=timeout)
-    outside = embeds(H, k_rs(t, lt - 1), timeout=timeout)
+    inside = find_embedding(H, k_rs(t, lt), timeout=timeout) is not None
+    outside = find_embedding(H, k_rs(t, lt - 1), timeout=timeout) is not None
     return inside, outside
 
 
@@ -578,8 +566,10 @@ def gray_cycle_embedding_report(
     lo, hi = params.ell(a), params.longest_gray_cycle
     report = GrayCycleReport(h, t, a)
     for k in range(lo, hi + 1):
-        report.required[k] = embeds(H, gray_cycle_crg(a, k), timeout=timeout)
+        phi = find_embedding(H, gray_cycle_crg(a, k), timeout=timeout)
+        report.required[k] = phi is not None
     for k in (lo - 1, hi + 1):
         if k >= 2 and a + k <= EMBED_CRG_BOUND:
-            report.boundary[k] = embeds(H, gray_cycle_crg(a, k), timeout=timeout)
+            phi = find_embedding(H, gray_cycle_crg(a, k), timeout=timeout)
+            report.boundary[k] = phi is not None
     return report

@@ -145,14 +145,12 @@ class PowerCycleParams:
         return self.h % (self.t + 1) == 0
 
     def graph(self) -> Graph:
-        """The cycle power itself: edges between cyclic distance <= t."""
-        h, t = self.h, self.t
-        edges = set()
-        for i in range(h):
-            for j in range(i + 1, h):
-                if min(j - i, h - (j - i)) <= t:
-                    edges.add((i, j))
-        return Graph(h, frozenset(edges))
+        """The cycle power itself: edges between cyclic distance <= t, built
+        distance by distance, so in O(h t) rather than over all pairs."""
+        h = self.h
+        return Graph.from_edges(
+            h, [(i, (i + d) % h) for d in range(1, min(self.t, h // 2) + 1) for i in range(h)]
+        )
 
     def require_gamma_range(self, what: str) -> None:
         """Refuse h < max(t(t+1), 4), below which the closed-form curve and

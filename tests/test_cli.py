@@ -443,6 +443,21 @@ def test_numbers_past_the_digit_limit_exit_2(capsys, argv, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["spectrum", "embed"])
+def test_huge_cycle_power_is_refused_for_its_size(capsys, tmp_path, command):
+    # C_100000 is built distance by distance, so the size refusal is reached
+    # without a build over all pairs
+    argv = [command, "--h", "100000", "--t", "1"]
+    if command == "embed":
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(crg_to_json(gray_cycle_crg(0, 3))))
+        argv += ["--crg", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SizeExceededError"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["g", "--help"])

@@ -28,7 +28,6 @@ from edcycles.embed import (
     _graph_plan,
     _interchangeable_classes,
     _search_order,
-    embeds,
     find_embedding,
     gray_cycle_crg,
     gray_cycle_embedding_report,
@@ -45,7 +44,8 @@ def twin_classes(K):
 
 
 def orbits(K):
-    return _automorphism_orbits(*_feasibility_masks(K), twin_classes(K))
+    edge_ok, non_ok, successor, first_fresh, _ = _crg_plan(K)
+    return _automorphism_orbits(edge_ok, non_ok, successor, first_fresh)
 
 
 def random_graph(rng, n, density=0.5):
@@ -110,8 +110,8 @@ def test_verify_embedding_refuses_malformed_maps():
 
 def test_c8_gray_triangle_and_square():
     c8 = power_cycle(8, 1)
-    assert not embeds(c8, gray_cycle_crg(0, 3))
-    assert embeds(c8, gray_cycle_crg(0, 4))
+    assert find_embedding(c8, gray_cycle_crg(0, 3)) is None
+    assert find_embedding(c8, gray_cycle_crg(0, 4)) is not None
 
 
 def test_witness_passes_independent_checker():
@@ -125,8 +125,8 @@ def test_witness_passes_independent_checker():
 def test_cycle_power_fits_all_gray_at_ell(h, t, a):
     params = PowerCycleParams(h, t)
     H = params.graph()
-    assert embeds(H, k_rs(a, params.ell(a)))
-    assert not embeds(H, k_rs(a, params.ell(a) - 1))
+    assert find_embedding(H, k_rs(a, params.ell(a))) is not None
+    assert find_embedding(H, k_rs(a, params.ell(a) - 1)) is None
 
 
 def test_embeds_matches_partitionable_on_all_gray():
@@ -136,7 +136,7 @@ def test_embeds_matches_partitionable_on_all_gray():
         r, s = rng.randint(0, 3), rng.randint(0, 3)
         if r + s == 0:
             continue
-        assert embeds(H, k_rs(r, s)) == partitionable(H, r, s)
+        assert (find_embedding(H, k_rs(r, s)) is not None) == partitionable(H, r, s)
 
 
 def test_embeds_matches_partitionable_on_cycle_powers():
@@ -145,7 +145,8 @@ def test_embeds_matches_partitionable_on_cycle_powers():
         for s in range(5):
             if r + s == 0:
                 continue
-            assert embeds(H, k_rs(r, s)) == partitionable(H, r, s), (r, s)
+            found = find_embedding(H, k_rs(r, s)) is not None
+            assert found == partitionable(H, r, s), (r, s)
 
 
 @pytest.mark.parametrize("h, t", [(21, 2), (24, 2), (24, 3)])
@@ -159,7 +160,8 @@ def test_embeds_matches_partitionable_on_the_staircase(h, t):
         boundary = sum(1 for row, _ in spec.pairs if row == r)
         for s in {boundary, max(boundary - 1, 0)}:
             if r + s:
-                assert embeds(H, k_rs(r, s), timeout=None) == partitionable(H, r, s), (r, s)
+                found = find_embedding(H, k_rs(r, s), timeout=None) is not None
+                assert found == partitionable(H, r, s), (r, s)
 
 
 def banded_graph(n, width):
@@ -461,8 +463,8 @@ def test_monotone_under_super_crg():
         K = random_crg(rng, rng.randint(2, 6))
         H = random_graph(rng, rng.randint(1, 6))
         keep = sorted(rng.sample(range(K.n), rng.randint(1, K.n)))
-        if embeds(H, sub_crg(K, keep)):
-            assert embeds(H, K)
+        if find_embedding(H, sub_crg(K, keep)) is not None:
+            assert find_embedding(H, K) is not None
 
 
 def test_single_vertex_images():
@@ -470,37 +472,37 @@ def test_single_vertex_images():
     non_edge = Graph.from_edges(2, [])
     one_black = k_rs(0, 1)
     one_white = k_rs(1, 0)
-    assert embeds(edge, one_black)
-    assert not embeds(edge, one_white)
-    assert embeds(non_edge, one_white)
-    assert not embeds(non_edge, one_black)
+    assert find_embedding(edge, one_black) is not None
+    assert find_embedding(edge, one_white) is None
+    assert find_embedding(non_edge, one_white) is not None
+    assert find_embedding(non_edge, one_black) is None
 
 
 def test_size_bounds():
     with pytest.raises(SizeExceededError):
-        embeds(power_cycle(41, 1), k_rs(1, 1))
+        find_embedding(power_cycle(41, 1), k_rs(1, 1))
     with pytest.raises(SizeExceededError):
-        embeds(power_cycle(5, 1), k_rs(8, 8))
+        find_embedding(power_cycle(5, 1), k_rs(8, 8))
 
 
 def test_timeout_raises_instead_of_answering():
     H = power_cycle(33, 3)
     K = k_rs(3, 4)  # infeasible: forces full exhaustion
     with pytest.raises(EmbedTimeoutError):
-        embeds(H, K, timeout=1e-4)
+        find_embedding(H, K, timeout=1e-4)
 
 
 def test_timeout_reports_nodes_searched():
     # the clock is read every 1024 nodes, so a 1 ns budget stops at the first read
     with pytest.raises(EmbedTimeoutError, match=r"1e-09 s after 1024 nodes"):
-        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+        find_embedding(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
 
 
 def test_timeout_reports_cache_refusals():
     # a cycle power's search refuses states within its first 1024 nodes
     refusals = r"after 1024 nodes, [1-9]\d* refused by the failed-state cache"
     with pytest.raises(EmbedTimeoutError, match=refusals):
-        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+        find_embedding(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
     # in a clique every placed vertex awaits the last one, so no depth keeps
     # a cache and nothing is refused; twin-free gray edges make it search
     rng = random.Random(5)
@@ -509,7 +511,7 @@ def test_timeout_reports_cache_refusals():
     K = crg_from_pairs((WHITE,) * 14, [(i, j, c) for (i, j), c in zip(pairs, colors)])
     clique = Graph.from_edges(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
     with pytest.raises(EmbedTimeoutError, match=r"after 1024 nodes, 0 refused"):
-        embeds(clique, K, timeout=1e-9)
+        find_embedding(clique, K, timeout=1e-9)
 
 
 def test_timeout_reports_root_images():
@@ -517,9 +519,9 @@ def test_timeout_reports_root_images():
     # one for the black gray cycle, one per color for K(r, s)
     root = r"refused by the failed-state cache, {} of {} images open to the first vertex"
     with pytest.raises(EmbedTimeoutError, match=root.format(1, 14)):
-        embeds(power_cycle(29, 1), gray_cycle_crg(0, 14), timeout=1e-9)
+        find_embedding(power_cycle(29, 1), gray_cycle_crg(0, 14), timeout=1e-9)
     with pytest.raises(EmbedTimeoutError, match=root.format(2, 7)):
-        embeds(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
+        find_embedding(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +541,7 @@ def test_timeout_message_pins_the_traversal(h, t, K, refused):
     # of the search and on every prune, so a change to either shows here
     message = f"after 1024 nodes, {refused} refused by the failed-state cache"
     with pytest.raises(EmbedTimeoutError, match=message):
-        embeds(power_cycle(h, t), K, timeout=1e-9)
+        find_embedding(power_cycle(h, t), K, timeout=1e-9)
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), 0, 0.0, -1.0, float("-inf")])
@@ -624,4 +626,4 @@ def test_extra_white_vertex_when_not_divisible(h, t):
     # clique when t+1 does not divide h
     params = PowerCycleParams(h, t)
     assert not params.divisible
-    assert embeds(params.graph(), k_rs(t + 1, 1))
+    assert find_embedding(params.graph(), k_rs(t + 1, 1)) is not None

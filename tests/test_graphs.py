@@ -85,6 +85,16 @@ def test_power_cycle_vertex_transitive_degree(h, t):
     assert all(g.degree(v) == want for v in range(h))
 
 
+def test_power_cycle_edges_are_the_pairs_within_cyclic_distance():
+    # the build goes distance by distance; the definition scans every pair
+    for h in range(3, 41):
+        for t in range(1, 21):
+            want = {
+                (i, j) for i in range(h) for j in range(i + 1, h) if min(j - i, h - j + i) <= t
+            }
+            assert power_cycle(h, t).edges == want, (h, t)
+
+
 def test_chromatic_small_cases():
     assert chromatic_number(power_cycle(5, 1)) == 3
     assert chromatic_number(power_cycle(13, 2)) == 4
