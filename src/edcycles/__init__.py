@@ -40,9 +40,11 @@ from .curves import (
 )
 from .embed import (
     GrayCycleReport,
+    chromatic_overshoot_witness,
     find_embedding,
     gray_cycle_crg,
     gray_cycle_embedding_report,
+    spectrum_partition_witness,
     verify_embedding,
 )
 from .errors import (
@@ -67,12 +69,10 @@ from .graphs import (
     Graph,
     PowerCycleParams,
     chromatic_number,
-    chromatic_overshoot_witness,
     graph_from_json,
     graph_to_json,
     partitionable,
     power_cycle,
-    spectrum_partition_witness,
 )
 from .spectrum import (
     CliqueSpectrum,

@@ -55,6 +55,8 @@ class Crg:
                 raise ParameterDomainError(f"bad edge color {c!r}")
 
     def edge_color(self, i: int, j: int) -> str:
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{self.n - 1}")
         if i == j:
             raise ParameterDomainError("no self-pairs in a CRG")
         if i > j:
@@ -176,12 +178,7 @@ def sub_crg(K: Crg, vertices: Iterable[int]) -> Crg:
         if not 0 <= v < K.n:
             raise ParameterDomainError(f"vertex {v} out of range")
     colors = tuple(K.vertex_colors[v] for v in vs)
-    pairs = [
-        (a, b, K.edge_color(vs[a], vs[b]))
-        for a in range(len(vs))
-        for b in range(a + 1, len(vs))
-    ]
-    return crg_from_pairs(colors, pairs)
+    return Crg(len(vs), colors, tuple(K.edge_color(u, w) for u, w in combinations(vs, 2)))
 
 
 def crg_to_json(K: Crg) -> dict:

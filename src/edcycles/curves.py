@@ -86,6 +86,7 @@ def ed_closed(params: PowerCycleParams, p: Number) -> Fraction | None:
 
 
 def ed_covered(params: PowerCycleParams, p: Number) -> bool:
+    p = to_probability(p)
     return not params.divisible or p >= params.p0
 
 

@@ -503,6 +503,48 @@ def gray_cycle_crg(white_count: int, cycle_length: int) -> Crg:
     return k_a_g(white_count, Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)]))
 
 
+def spectrum_partition_witness(params: PowerCycleParams, a: int) -> tuple[int, ...]:
+    """Embedding of a cycle power into K(a, ell(a)), that is, a partition into
+    a independent sets (white vertices 0..a-1) and ell(a) cliques (black
+    vertices a..a+ell(a)-1).
+
+    Cut the cycle into consecutive blocks of size t+a+1 (plus one remainder
+    block).  Position v sits at offset q = v % (t+a+1) in block
+    j = v // (t+a+1): the first t+1 positions of block j form clique a+j,
+    and offset t+1+i goes to independent set i.  The map is checked by
+    verify_embedding before returning.
+    """
+    t = params.t
+    K = k_rs(a, params.ell(a))
+    params.require_gamma_range("witness construction")
+    block = t + a + 1
+    phi = tuple(a + v // block if v % block <= t else v % block - t - 1 for v in range(params.h))
+    return _checked_witness(params, K, phi)
+
+
+def chromatic_overshoot_witness(params: PowerCycleParams) -> tuple[int, ...]:
+    """Embedding of a cycle power into K(t+1, 1): t+1 independent sets and
+    one clique.
+
+    Cut ceil(h/(t+1)) - 1 leading blocks of size t+1; the j-th positions
+    across blocks are pairwise more than t apart and go to white vertex j,
+    and the at most t+1 leftover positions are consecutive, hence a clique,
+    and go to the black vertex t+1.  Shows one extra clique always absorbs
+    the chromatic overshoot of a nondivisible length.
+    """
+    t = params.t
+    params.require_gamma_range("witness construction")
+    cut = (params.ell(0) - 1) * (t + 1)
+    phi = tuple(v % (t + 1) if v < cut else t + 1 for v in range(params.h))
+    return _checked_witness(params, k_rs(t + 1, 1), phi)
+
+
+def _checked_witness(params: PowerCycleParams, K: Crg, phi: tuple[int, ...]) -> tuple[int, ...]:
+    if not verify_embedding(params.graph(), K, phi):
+        raise RuntimeError(f"constructed witness {phi} fails verify_embedding")
+    return phi
+
+
 @dataclass
 class GrayCycleReport:
     """Embedding verdicts around the forbidden gray-cycle length window.

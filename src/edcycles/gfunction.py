@@ -454,6 +454,6 @@ def p_core_structure_ok(K: Crg, p: Number) -> bool:
     """Structural sanity for p-core CRGs: no black edges and no white edge at a
     white vertex when p <= 1/2; for p >= 1/2 the same law holds for
     color_swap(K) at 1 - p, so at p = 1/2 every edge is gray."""
-    p = to_fraction(p)
+    p = to_probability(p)
     half = Fraction(1, 2)
     return (p > half or _white_side_law(K)) and (p < half or _white_side_law(color_swap(K)))

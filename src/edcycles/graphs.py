@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import ParameterDomainError, SizeExceededError
 from .rationals import json_int, json_list
@@ -264,70 +264,3 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
 
     return place(0)
 
-
-class PartitionWitness(NamedTuple):
-    independent_sets: tuple[tuple[int, ...], ...]
-    cliques: tuple[tuple[int, ...], ...]
-
-    def parts(self) -> list[tuple[int, ...]]:
-        return list(self.independent_sets) + list(self.cliques)
-
-
-def spectrum_partition_witness(params: PowerCycleParams, a: int) -> PartitionWitness:
-    """Explicit partition of a cycle power into a independent sets and ell(a) cliques.
-
-    Cut the cycle into consecutive blocks of size t+a+1 (plus one remainder
-    block): the first t+1 vertices of each block form a clique, and for
-    j = 1..a the (t+1+j)-th vertices of the blocks form an independent set.
-    Vertices are 0-indexed.  Every part is re-checked before returning.
-    """
-    h, t = params.h, params.t
-    k = params.ell(a) - 1
-    params.require_gamma_range("witness construction")
-    g = params.graph()
-    block = t + a + 1
-    blocks = [list(range(i * block, (i + 1) * block)) for i in range(k)]
-    blocks.append(list(range(k * block, h)))
-
-    cliques = [tuple(b[: min(t + 1, len(b))]) for b in blocks]
-    independent_sets = []
-    for j in range(1, a + 1):
-        members = [b[t + j] for b in blocks if len(b) >= t + 1 + j]
-        independent_sets.append(tuple(members))
-
-    witness = PartitionWitness(tuple(independent_sets), tuple(cliques))
-    _validate_witness(g, witness)
-    return witness
-
-
-def chromatic_overshoot_witness(params: PowerCycleParams) -> PartitionWitness:
-    """Partition of a cycle power into t+1 independent sets and one clique.
-
-    Cut ceil(h/(t+1)) - 1 leading blocks of size t+1; the j-th positions
-    across blocks are pairwise more than t apart, and the at most t+1
-    leftover vertices are consecutive, hence a clique.  Shows one extra
-    clique always absorbs the chromatic overshoot of a nondivisible length.
-    """
-    h, t = params.h, params.t
-    params.require_gamma_range("witness construction")
-    g = params.graph()
-    k = params.ell(0) - 1
-    independent_sets = tuple(
-        tuple(i * (t + 1) + j for i in range(k)) for j in range(t + 1)
-    )
-    clique = tuple(range(k * (t + 1), h))
-    witness = PartitionWitness(independent_sets, (clique,) if clique else ())
-    _validate_witness(g, witness)
-    return witness
-
-
-def _validate_witness(g: Graph, witness: PartitionWitness) -> None:
-    covered = [v for part in witness.parts() for v in part]
-    if sorted(covered) != list(range(g.n)):
-        raise RuntimeError("partition witness does not cover every vertex exactly once")
-    for part in witness.independent_sets:
-        if not g.is_independent_set(part):
-            raise RuntimeError(f"witness part {part} is not independent")
-    for part in witness.cliques:
-        if not g.is_clique(part):
-            raise RuntimeError(f"witness part {part} is not a clique")

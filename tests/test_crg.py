@@ -197,6 +197,15 @@ def test_sub_crg_rejects_empty():
         sub_crg(k_rs(1, 1), [])
 
 
+@pytest.mark.parametrize("i,j", [(0, 3), (3, 0), (-1, 0), (0, -1), (2, 5)])
+def test_edge_color_refuses_an_index_outside_the_crg(i, j):
+    # an unchecked index would fall on another pair's flat slot
+    K = crg_from_pairs([WHITE, BLACK, BLACK], [(1, 2, BLACK), (0, 1, WHITE)])
+    assert (K.edge_color(1, 2), K.edge_color(1, 0), K.edge_color(0, 2)) == (BLACK, WHITE, GRAY)
+    with pytest.raises(ParameterDomainError):
+        K.edge_color(i, j)
+
+
 def test_crg_json_roundtrip():
     rng = random.Random(13)
     for _ in range(20):

@@ -63,6 +63,16 @@ def test_ed_closed_coverage():
     assert ed_closed(div, Fraction(1)) == 0
 
 
+def test_ed_covered_refuses_p_outside_the_unit_interval():
+    params = PowerCycleParams(15, 2)
+    for p in (2, -1, Fraction(3, 2)):
+        with pytest.raises(ParameterDomainError):
+            ed_covered(params, p)
+    with pytest.raises(ValueError):
+        ed_covered(params, "x")
+    assert ed_covered(params, "1/2") and not ed_covered(params, "1/10")
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
 def test_gamma_closed_refuses_non_finite_p(p):
     with pytest.raises(ParameterDomainError):

@@ -636,3 +636,9 @@ def test_p_core_structure_law_mirrors_under_color_swap(K, p):
         assert p_core_structure_ok(K, p) == expected
     if p == Fraction(1, 2):
         assert p_core_structure_ok(K, p) == all(c == GRAY for _, _, c in K.pairs())
+
+
+@pytest.mark.parametrize("p", [2, -1, Fraction(3, 2)])
+def test_p_core_structure_ok_refuses_p_outside_the_unit_interval(p):
+    with pytest.raises(ParameterDomainError):
+        p_core_structure_ok(k_rs(1, 2), p)

@@ -5,17 +5,17 @@ import random
 
 import pytest
 
+import edcycles.embed
+from edcycles.embed import chromatic_overshoot_witness, spectrum_partition_witness
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.graphs import (
     Graph,
     PowerCycleParams,
     chromatic_number,
-    chromatic_overshoot_witness,
     graph_from_json,
     graph_to_json,
     partitionable,
     power_cycle,
-    spectrum_partition_witness,
 )
 
 
@@ -252,14 +252,12 @@ def test_params_ell_monotone_and_chi_range():
 
 def test_witness_matches_hand_construction():
     w = spectrum_partition_witness(PowerCycleParams(8, 1), 1)
-    assert w.cliques == ((0, 1), (3, 4), (6, 7))
-    assert w.independent_sets == ((2, 5),)
+    assert w == (1, 1, 0, 2, 2, 0, 3, 3)
 
 
 def test_witness_all_consecutive_pairs_for_divisible():
     w = spectrum_partition_witness(PowerCycleParams(6, 1), 0)
-    assert w.independent_sets == ()
-    assert w.cliques == ((0, 1), (2, 3), (4, 5))
+    assert w == (0, 0, 1, 1, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -271,8 +269,7 @@ def test_witness_certified_by_partition_oracle(h, t):
     g = params.graph()
     for a in range(t + 1):
         w = spectrum_partition_witness(params, a)
-        assert len(w.independent_sets) == a
-        assert len(w.cliques) == params.ell(a)
+        assert set(w) == set(range(a + params.ell(a)))
         if h <= 18:
             assert partitionable(g, a, params.ell(a))
 
@@ -281,8 +278,7 @@ def test_witness_certified_by_partition_oracle(h, t):
 def test_chromatic_overshoot_witness(h, t):
     params = PowerCycleParams(h, t)
     w = chromatic_overshoot_witness(params)
-    assert len(w.independent_sets) == t + 1
-    assert len(w.cliques) == 1
+    assert set(w) == set(range(t + 2))
     if h <= 18:
         assert partitionable(params.graph(), t + 1, 1)
 
@@ -292,6 +288,26 @@ def test_witness_rejects_out_of_range():
         spectrum_partition_witness(PowerCycleParams(8, 1), 2)
     with pytest.raises(ParameterDomainError):
         spectrum_partition_witness(PowerCycleParams(5, 2), 0)
+
+
+def test_witnesses_use_every_part_across_the_range():
+    # every CRG vertex receives a position, so no part of the partition is empty
+    for t in range(1, 5):
+        for h in range(max(t * (t + 1), 4), 61):
+            params = PowerCycleParams(h, t)
+            for a in range(t + 1):
+                w = spectrum_partition_witness(params, a)
+                assert set(w) == set(range(a + params.ell(a))), (h, t, a)
+            assert set(chromatic_overshoot_witness(params)) == set(range(t + 2)), (h, t)
+
+
+def test_witness_builders_refuse_a_map_that_fails_verification(monkeypatch):
+    monkeypatch.setattr(edcycles.embed, "verify_embedding", lambda H, K, phi: False)
+    params = PowerCycleParams(13, 2)
+    with pytest.raises(RuntimeError):
+        spectrum_partition_witness(params, 1)
+    with pytest.raises(RuntimeError):
+        chromatic_overshoot_witness(params)
 
 
 def test_graph_json_roundtrip():
