@@ -4,36 +4,35 @@ For a CRG K with rate matrix M(p), the g-function is
 
     g_K(p) = min { x^T M(p) x : sum(x) = 1, x >= 0 }.
 
-Exact mode enumerates supports.  A minimizer restricted to the face of its
-support T satisfies M_T x_T = c * 1 with c equal to the optimal value, so
-solving M_T y = 1 and scaling y to the simplex yields a candidate value
-1 / sum(y) whenever the system is invertible and y is nonnegative.  A support
-whose system is singular can be skipped: any optimum living on that face also
-appears on a sub-face with an invertible system (in the worst case a single
-vertex, whose diagonal entry is positive for p in (0,1)).  Because gray edges
-contribute zero entries, the matrix is block diagonal over the components of
-the non-gray edge graph, and reciprocals of component optima add up:
-1/g_K = sum_i 1/g_{K_i}.
+Exact mode enumerates supports.  A minimizer x* restricted to the face of
+its positive support W satisfies M_W x*_W = g * 1 with g the optimal value,
+so solving M_W y = 1 and scaling y to the simplex yields a candidate value
+1 / sum(y).  Because gray edges contribute zero entries, the matrix is block
+diagonal over the components of the non-gray edge graph, and reciprocals of
+component optima add up: 1/g_K = sum_i 1/g_{K_i}.
+
+One lemma decides which faces are solved: M_W is positive semidefinite on
+the positive support W of any minimizer x*, so positive definite (PD) when
+it is invertible.  Any z on W splits as a x* + y with a = sum(z) and
+sum(y) = 0, and stationarity gives z^T M_W z = a^2 g + y^T M_W y, where
+g >= 0 as M is nonnegative.  As x* is positive on W, x* + e y stays on the
+simplex for small e of either sign, and f(x* + e y) = g + e^2 y^T M_W y >= g,
+so y^T M_W y >= 0.  The sweep therefore solves only PD faces;
+_stationary_points shows that it still finds the minimum, at the same
+support.  A clashing or tied pair, vertices i and j with
+M_ii + M_jj <= 2 M_ij, has M_ij >= (M_ii + M_jj) / 2 >= sqrt(M_ii M_jj), so
+its 2x2 principal minor M_ii M_jj - M_ij^2 is at most 0 and no PD face holds
+it: the faces holding one are dropped before any solve.
 
 The sweep runs over the integer matrix A = b * M(p) that crg.rate_matrix
 returns for p = a/b.  Each face is solved by Bareiss fraction-free
-elimination (Bareiss 1968, Math. Comp. 22), which yields d = |det A_T| and
-the integer vector u = d * A_T^-1 1 with every division exact.  The face is
-feasible when no u_i is negative, its value is g = d / (b * sum(u)) and its
-weights are u / sum(u); Fractions are built only for the winning support.
-
-Supports that cannot hold the winner are never solved.  Call vertices i
-and j a clashing pair when A_ii + A_jj < 2 A_ij, and a tied pair when
-A_ii + A_jj = 2 A_ij.  At a minimizer x* whose positive support holds both,
-z = e_i - e_j is a feasible direction either way, stationarity gives
-z^T A x* = 0, and so f(x* + e z) = f(x*) + e^2 z^T A z.  For a clashing pair
-that is below f(x*) for small e != 0, so no minimizer's positive support
-holds one.  For a tied pair it stays f(x*) until one of the two weights
-reaches zero, so a smaller support holds a minimizer too.  The winner, the
-lowest bitmask of least value among all supports, carries no zero weight,
-so it is its minimizer's positive support and holds neither kind of pair
-(see _stationary_points).  The sweep therefore solves only the supports
-that hold no clashing or tied pair, and picks the same winner.
+elimination (Bareiss 1968, Math. Comp. 22) in natural order.  Its k-th pivot
+is the k-th leading principal minor of A_T, so by Sylvester's criterion A_T
+is PD exactly when every pivot is positive, and elimination stops at the
+first that is not.  A PD face yields d = det A_T and the integer vector
+u = d * A_T^-1 1 with every division exact.  The face is feasible when no
+u_i is negative, its value is g = d / (b * sum(u)) and its weights are
+u / sum(u); Fractions are built only for the winning support.
 
 Numeric mode runs projected gradient descent from each simplex vertex and
 from the uniform point, with step halving.  A start stops once its
@@ -86,22 +85,24 @@ class GValue:
 
 
 def _solve_face(rates, support: Sequence[int]):
-    """Solve A_T u = d * 1 over the integers; return (d, u) or None when singular.
+    """Solve A_T u = d * 1 over the integers when A_T is positive definite:
+    return (d, u) with d = det(A_T) > 0, or None when A_T is not PD.
 
     Bareiss fraction-free elimination of [A_T | 1] on the principal submatrix
-    indexed by the support: every division is exact, the last pivot is
-    +-det(A_T), and fraction-free back substitution gives u = d * A_T^-1 1,
-    which is +-adj(A_T) 1.  Signs are normalised so that d > 0.
+    indexed by the support, in natural order: every division is exact, and
+    the k-th pivot is the k-th leading principal minor, so elimination stops
+    at the first pivot <= 0 (Sylvester's criterion).  The last pivot is
+    det(A_T), and fraction-free back substitution gives u = d * A_T^-1 1,
+    which is adj(A_T) 1.
     """
     rows = [[rates[i][j] for j in support] + [1] for i in support]
     upper = []
     prev = 1
     while rows:
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            return None
-        pivot = rows.pop(k)
+        pivot, *rows = rows
         head, tail = pivot[0], pivot[1:]
+        if head <= 0:
+            return None
         eliminated = []
         for row in rows:
             lead = row[0]
@@ -116,65 +117,72 @@ def _solve_face(rates, support: Sequence[int]):
     u = []
     for row in reversed(upper):
         u.insert(0, (d * row[-1] - sum(map(mul, row[1:-1], u))) // row[0])
-    if d < 0:
-        return -d, [-x for x in u]
     return d, u
 
 
-def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
-    """Bitmasks over the given vertices of every nonempty support that holds
-    no clashing or tied pair (A_ii + A_jj <= 2 A_ij), in increasing order.
+def _clashes(rates, vertices: Sequence[int]) -> list[int]:
+    """For each vertex, the bitmask of the earlier vertices it forms a
+    clashing or tied pair with (A_ii + A_jj <= 2 A_ij).
 
-    Every exact route sweeps these faces, so EXACT_SWEEP_BOUND is checked
-    here, before any face is solved.  The supports over the first i vertices
-    come in increasing order, and vertex i extends each one it does not clash
-    with into a larger bitmask than any of them, so the order is kept.
+    Every exact route starts here, so EXACT_SWEEP_BOUND is checked here,
+    before any face is solved.
     """
     m = len(vertices)
     if m > EXACT_SWEEP_BOUND:
         raise SizeExceededError(
             f"support sweep over {m} vertices exceeds bound {EXACT_SWEEP_BOUND}"
         )
-    faces = [0]
-    for i, v in enumerate(vertices):
-        clash = sum(
+    return [
+        sum(
             1 << j
             for j, w in enumerate(vertices[:i])
             if rates[v][v] + rates[w][w] <= 2 * rates[v][w]
         )
+        for i, v in enumerate(vertices)
+    ]
+
+
+def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
+    """Bitmasks over the given vertices of every nonempty support that holds
+    no clashing or tied pair, in increasing order.
+
+    The supports over the first i vertices come in increasing order, and
+    vertex i extends each one it does not clash with into a larger bitmask
+    than any of them, so the order is kept.
+    """
+    faces = [0]
+    for i, clash in enumerate(_clashes(rates, vertices)):
         faces += [f | 1 << i for f in faces if f & clash == 0]
     return faces[1:]
 
 
 def _stationary_points(rates, scale: int, vertices: Sequence[int], faces: Sequence[int]):
     """Yield (bits, value, u) for each support bitmask in faces, in the order
-    given, whose face has a nonnegative stationary point.
+    given, whose face is positive definite with a nonnegative stationary point.
 
     rates is the rate matrix scaled by `scale`, bits selects the support from
     vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
     value is d / (scale * sum(u)); the weights on the support are u / sum(u).
 
-    Of all supports, the lowest bitmask of least value g has no zero entry
-    in u.  Say it had: its point x* is a global minimizer on its positive
-    support P, a proper subset and so a lower bitmask, with A_P x*_P = g * 1.
-    If A_P is invertible, P yields x* and ties.  If not, take A_P w = 0 with
-    w != 0.  When sum(w) != 0, x* + e w keeps A_P x = g * 1, so its value on
-    the simplex is g / (1 + e sum(w)), below g for a small e of the right
-    sign (g > 0, as A is nonnegative with a positive diagonal): a
-    contradiction.  When sum(w) = 0 the value stays g along w up to a new
-    zero entry; repeat on that smaller support, which ends at an invertible
-    A_P by a single vertex at the latest.  Either way a lower bitmask ties, a
-    contradiction.  So that winner W is its minimizer's positive support, and
-    it holds no clashing pair (see the module docstring).
+    Over all supports, the least value is the minimum g over the simplex, and
+    the lowest bitmask W attaining it has no zero entry in u.  Each value is
+    that of a point of the simplex, so none is below g.  Take a minimizer x*
+    whose positive support P holds no other minimizer's positive support.
+    A_P is positive semidefinite by the lemma in the module docstring.  If
+    A_P w = 0 with w != 0, then 0 = w^T A_P w = sum(w)^2 g + y^T A_P y with
+    both terms nonnegative (g > 0, as A has a positive diagonal), so
+    sum(w) = 0, and f(x* + e w) = g for every e, since stationarity cancels
+    the linear term; at the first e where an entry reaches zero this is a
+    minimizer on a smaller support, which P rules out.  So A_P is PD, and P
+    yields x* and the value g.  Any minimizer's positive support holds such
+    a P, at a bitmask no higher than its own; so if W had a zero entry in u,
+    the positive support of its point would hold a lower bitmask of value g.
 
-    Nor does W hold a tied pair, A_ii + A_jj = 2 A_ij.  Say i, j in W were
-    one, and let z = e_i - e_j.  Then z^T A x* = 0 by stationarity, so
-    f(x* + e z) = g + e^2 (A_ii + A_jj - 2 A_ij) = g, and f stays g along z
-    until x_j reaches zero.  That point is a global minimizer whose positive
-    support is a proper subset of W, and by the argument above some subset of
-    that support ties at a lower bitmask than W: a contradiction.  So W
-    survives the pruning, which only drops candidates, and the sweep over
-    _clash_free_faces picks the same support.
+    The same W wins a sweep that also solves the invertible faces that are
+    not PD: its winner has no zero entry by the argument above, so the lemma
+    makes it PD.  So the faces skipped, and the faces holding a clashing or
+    tied pair that _clash_free_faces never lists, change no value, weight
+    or support.
     """
     m = len(vertices)
     for bits in faces:
@@ -405,18 +413,19 @@ def is_p_core(K: Crg, p: Number) -> bool:
     float callers cannot mistake roundoff for strictness.  K may have at most
     EXACT_SWEEP_BOUND vertices.
 
-    Every proper induced sub-CRG is a face that misses some vertex, so K is a
-    p-core exactly when its full face has a nonnegative stationary point that
-    beats every proper face by more than the margin.  The full face is solved
-    first: when it is singular, has a negative entry or holds a clashing or
-    tied pair, K is no p-core.  With a clashing pair its stationary point is
-    no minimizer, so a proper face does better.  With a tied pair either it
-    is no minimizer, or the value stays flat along e_i - e_j down to a proper
-    face; either way a proper face ties or beats it, so the verdict is False
-    under the float margin too.  Otherwise the remaining proper faces are
-    swept, and the first whose value ties or beats it within the margin
-    decides; the least of them is the least of all proper sub-CRG values, as
-    each sub-CRG's winning support is among them.
+    K is a p-core exactly when A = b * M(p) is positive definite and
+    u = d * A^-1 1 is strictly positive.  If so, the form is strictly convex
+    and u / sum(u) is a stationary point inside the simplex, so it is the
+    only minimizer, and every proper face has a larger minimum.  Conversely,
+    if K is a p-core, no minimizer x* lies on a proper face.  Along a null
+    vector of A the value would stay flat (see _stationary_points) until it
+    reached one, so A is invertible, PD by the lemma in the module docstring,
+    and u is a positive multiple of x*.  So a clashing or tied pair (an
+    O(n^2) check) or one solve of the full face decides.  With a float p, a
+    True verdict also sweeps the proper faces, and the first whose value lies
+    within the margin of the full face's makes it False; the least of them
+    is the least proper sub-CRG value, as each sub-CRG's winning support is
+    among them.
     """
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
@@ -424,17 +433,17 @@ def is_p_core(K: Crg, p: Number) -> bool:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
     rates, scale = rate_matrix(K, p)
     vertices = range(K.n)
-    faces = _clash_free_faces(rates, vertices)
-    full = faces.pop()  # the full face, unless it holds a clashing or tied pair
-    if full != (1 << K.n) - 1:
+    if any(_clashes(rates, vertices)):
         return False
-    solved = next(_stationary_points(rates, scale, vertices, [full]), None)
-    if solved is None:
+    solved = _solve_face(rates, vertices)
+    if solved is None or min(solved[1]) <= 0:
         return False
-    _, g_full, _ = solved
-    proper = _stationary_points(rates, scale, vertices, faces)
-    if any(value - g_full <= margin for _, value, _ in proper):
-        return False
+    if margin:
+        d, u = solved
+        g_full = Fraction(d, scale * sum(u))
+        proper = _stationary_points(rates, scale, vertices, _clash_free_faces(rates, vertices)[:-1])
+        if any(value - g_full <= margin for _, value, _ in proper):
+            return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching
         # here means the optimizer itself is wrong

@@ -26,8 +26,9 @@ Number = Fraction | int | float
 
 def to_fraction(value: Number | str) -> Fraction:
     """Convert ints, finite floats (to their exact binary value), strings,
-    and Fractions to an exact Fraction; NaN, infinities and booleans are
-    refused, although Python treats True and False as the ints 1 and 0."""
+    and Fractions to an exact Fraction; NaN, infinities, booleans and strings
+    that name no rational (such as "x" or "1/0") are refused, although Python
+    treats True and False as the ints 1 and 0."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -35,7 +36,10 @@ def to_fraction(value: Number | str) -> Fraction:
     if isinstance(value, float) and not isfinite(value):
         raise ParameterDomainError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParameterDomainError(f"{value!r} is not a rational number") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

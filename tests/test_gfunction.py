@@ -364,11 +364,22 @@ def gauss_jordan_reference(M, support):
     return det, [row[m] for row in aug]
 
 
+def positive_definite(M, support) -> bool:
+    """Sylvester's criterion over Fractions: every leading principal minor
+    of M_T is positive."""
+    return all(
+        (reference := gauss_jordan_reference(M, support[:k])) is not None and reference[0] > 0
+        for k in range(1, len(support) + 1)
+    )
+
+
 @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(37, 101), 0.3])
 def test_integer_face_solver_matches_fraction_reference(p):
+    # _solve_face solves exactly the positive definite faces, and those
+    # include faces whose stationary point has a negative entry.
     rng = random.Random(97)
     exact_p = Fraction(p)
-    seen = {"singular": 0, "negative": 0, "feasible": 0}
+    seen = {"not_pd": 0, "negative": 0, "feasible": 0}
     cases = [
         # two white vertices joined by a white edge: identical rows
         crg_from_pairs((WHITE, WHITE), [(0, 1, WHITE)]),
@@ -385,16 +396,15 @@ def test_integer_face_solver_matches_fraction_reference(p):
             for support in itertools.combinations(range(K.n), size):
                 if size > 3 and rng.random() < 0.7:
                     continue
-                reference = gauss_jordan_reference(M, support)
                 face = _solve_face(rates, support)
-                if reference is None:
+                if not positive_definite(M, support):
                     assert face is None, (K, support)
-                    seen["singular"] += 1
+                    seen["not_pd"] += 1
                     continue
-                det, y = reference
+                det, y = gauss_jordan_reference(M, support)
                 d, u = face
-                # d = |det A_T| for A = scale * M, and u = d * A_T^-1 1
-                assert d == abs(det) * scale**size
+                # d = det A_T for A = scale * M, and u = d * A_T^-1 1
+                assert d == det * scale**size
                 assert [Fraction(x, d) for x in u] == [v / scale for v in y]
                 feasible = min(u) >= 0
                 assert feasible == all(v >= 0 for v in y)
@@ -407,12 +417,39 @@ def test_integer_face_solver_matches_fraction_reference(p):
     assert min(seen.values()) > 0, seen
 
 
+def pivoting_bareiss(rates, support):
+    """General integer face solver, independent of the positive definite
+    rule: Bareiss elimination of [A_T | 1] with a search for a nonzero pivot.
+    Returns (d, u) with d = |det A_T| > 0 and u = d * A_T^-1 1, or None when
+    A_T is singular."""
+    rows = [[rates[i][j] for j in support] + [1] for i in support]
+    upper = []
+    prev = 1
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return None
+        pivot = rows.pop(k)
+        head, tail = pivot[0], pivot[1:]
+        rows = [[(x * head - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows]
+        upper.append(pivot)
+        prev = head
+    d = prev
+    u = []
+    for row in reversed(upper):
+        u.insert(0, (d * row[-1] - sum(a * b for a, b in zip(row[1:-1], u))) // row[0])
+    if d < 0:
+        return -d, [-x for x in u]
+    return d, u
+
+
 def reference_sweep(rates, scale, vertices):
     """The unpruned support sweep: (bits, value, u) for every support over
-    vertices, in bitmask order, whose face has a nonnegative stationary point."""
+    vertices, in bitmask order, whose face is invertible with a nonnegative
+    stationary point."""
     m = len(vertices)
     for bits in range(1, 1 << m):
-        face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
+        face = pivoting_bareiss(rates, [vertices[i] for i in range(m) if bits >> i & 1])
         if face is not None and min(face[1]) >= 0:
             d, u = face
             yield bits, Fraction(d, scale * sum(u)), u
@@ -472,25 +509,32 @@ def solved_faces(monkeypatch):
     return solved
 
 
+SWEEP_PS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101), 0.3)
+
+
+def styled_crg(rng, n, style):
+    """A random CRG on n vertices: uniform edge colors (style 0), gray-heavy
+    (style 1) or all gray (style 2)."""
+    if style == 0:
+        return random_crg(rng, n)
+    if style == 1:
+        return random_crg(rng, n, gray_weight=4.0)
+    return crg_from_pairs([rng.choice(VERTEX_COLORS) for _ in range(n)])
+
+
 def test_pruned_sweep_matches_unpruned_reference(solved_faces):
-    # The sweep skips every support holding a clashing or tied pair, and
-    # is_p_core decides from the full face first; neither may change a value,
-    # a weight, a support or a verdict against the sweep over all 2^n - 1
-    # supports.  The unpruned winner itself holds neither kind of pair, and
-    # is_p_core solves nothing when the full face holds one.
+    # The sweep solves only positive definite faces and skips every support
+    # holding a clashing or tied pair, and is_p_core decides from the full
+    # face alone at a rational p; none of this may change a value, a weight,
+    # a support or a verdict against the sweep over all 2^n - 1 supports.
+    # The unpruned winner itself holds neither kind of pair, and is_p_core
+    # solves nothing when the full face holds one.
     rng = random.Random(2027)
-    ps = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101), 0.3)
     verdicts = {True: 0, False: 0}
     pruned_full = 0
     for k in range(2016):
-        n, p = rng.randint(1, 7), ps[k % len(ps)]
-        style = k // len(ps) % 3
-        if style == 0:
-            K = random_crg(rng, n)
-        elif style == 1:
-            K = random_crg(rng, n, gray_weight=4.0)
-        else:
-            K = crg_from_pairs([rng.choice(VERTEX_COLORS) for _ in range(n)])
+        n, p = rng.randint(1, 7), SWEEP_PS[k % len(SWEEP_PS)]
+        K = styled_crg(rng, n, k // len(SWEEP_PS) % 3)
         joint = reference_g_value(K, p)
         assert g_value(K, p, decompose=False) == joint, (K, p)
         blocks = component_sets(K)
@@ -505,6 +549,46 @@ def test_pruned_sweep_matches_unpruned_reference(solved_faces):
             assert solved_faces == [], (K, p)
             pruned_full += 1
     assert min(verdicts.values()) > 100 and pruned_full > 500, (verdicts, pruned_full)
+
+
+def test_unpruned_winning_support_is_positive_definite():
+    # The lemma behind the sweep: the rate matrix is positive semidefinite
+    # on a minimizer's positive support, so positive definite on the
+    # winner's, whose face is invertible.
+    rng = random.Random(1968)
+    for k in range(450):
+        n, p = rng.randint(1, 7), SWEEP_PS[k % len(SWEEP_PS)]
+        K = styled_crg(rng, n, k // len(SWEEP_PS) % 3)
+        support = reference_g_value(K, p).support
+        assert positive_definite(fraction_rates(K, Fraction(p)), support), (K, p)
+
+
+def test_rational_is_p_core_solves_at_most_the_full_face(solved_faces):
+    rng = random.Random(1850)
+    cases = [k_rs(r, s) for r in range(11) for s in range(11 - r) if r + s]
+    cases += [random_crg(rng, n, gray_weight=4.0) for n in range(1, 11) for _ in range(3)]
+    verdicts = {True: 0, False: 0}
+    for K in cases:
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(37, 101)):
+            solved_faces.clear()
+            verdict = is_p_core(K, p)
+            assert len(solved_faces) <= 1, (K, p)
+            assert verdict == reference_is_p_core(K, p), (K, p)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 20, verdicts
+
+
+def test_float_is_p_core_sweeps_the_proper_faces_for_a_true_verdict(solved_faces):
+    # The 1e-12 margin of a float p compares the full face with each proper
+    # face, so a True verdict solves all of them; a rational p solves one.
+    K = k_rs(2, 1)
+    solved_faces.clear()
+    assert is_p_core(K, 0.3)
+    proper = [[i for i in range(3) if bits >> i & 1] for bits in range(1, 7)]
+    assert solved_faces == [[0, 1, 2]] + proper
+    solved_faces.clear()
+    assert is_p_core(K, Fraction(3, 10))
+    assert solved_faces == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(37, 101), 0.3], ids=str)

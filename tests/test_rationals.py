@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from edcycles.curves import PowerCycleParams, gamma_closed
 from edcycles.errors import ParameterDomainError
 from edcycles.rationals import number_str, to_fraction
 
@@ -20,6 +21,14 @@ def test_to_fraction_variants():
 def test_to_fraction_rejects_junk():
     with pytest.raises(TypeError):
         to_fraction(None)
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", "nan", ""])
+def test_unparsable_string_is_a_domain_error_at_a_library_entry_point(text):
+    with pytest.raises(ParameterDomainError):
+        gamma_closed(PowerCycleParams(9, 1), text)
+    with pytest.raises(ParameterDomainError):
+        to_fraction(text)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
