@@ -22,23 +22,19 @@ from .embed import DEFAULT_TIMEOUT, find_embedding
 from .errors import EdcyclesError, ParameterDomainError
 from .gfunction import g_endpoint, g_value
 from .graphs import EXACT_SEARCH_BOUND, PowerCycleParams, graph_from_json, power_cycle
-from .rationals import number_str
+from .rationals import number_str, to_fraction
 from .spectrum import clique_spectrum, gamma, power_cycle_spectrum
 
 
 def _rational(text: str) -> Fraction:
     """A rational from its text.  Like _load_json, it refuses a number past
-    Python's int-to-string digit limit, and an exponent past that limit
-    before 10**exponent, which can take seconds, is built."""
-    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
-    limit = sys.get_int_max_str_digits()
+    Python's int-to-string digit limit; to_fraction refuses an exponent past
+    that limit before 10**exponent is built."""
     try:
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError("exponent past the digit limit")
-        value = Fraction(text)
+        value = to_fraction(text)
         number_str(value)  # raises SizeExceededError, a ValueError, past the limit
         return value
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a printable rational number: {text!r}") from exc
 
 

@@ -22,17 +22,19 @@ _stationary_points shows that it still finds the minimum, at the same
 support.  A clashing or tied pair, vertices i and j with
 M_ii + M_jj <= 2 M_ij, has M_ij >= (M_ii + M_jj) / 2 >= sqrt(M_ii M_jj), so
 its 2x2 principal minor M_ii M_jj - M_ij^2 is at most 0 and no PD face holds
-it: the faces holding one are dropped before any solve.
+it: no face holding one is tried.
 
-The sweep runs over the integer matrix A = b * M(p) that crg.rate_matrix
-returns for p = a/b.  Each face is solved by Bareiss fraction-free
-elimination (Bareiss 1968, Math. Comp. 22) in natural order.  Its k-th pivot
-is the k-th leading principal minor of A_T, so by Sylvester's criterion A_T
-is PD exactly when every pivot is positive, and elimination stops at the
-first that is not.  A PD face yields d = det A_T and the integer vector
-u = d * A_T^-1 1 with every division exact.  The face is feasible when no
-u_i is negative, its value is g = d / (b * sum(u)) and its weights are
-u / sum(u); Fractions are built only for the winning support.
+The sweep walks the faces of the integer matrix A = b * M(p) that
+crg.rate_matrix returns for p = a/b depth first from the empty face.  As a
+principal submatrix of a PD matrix is PD, each PD face is reached, once,
+from the PD face without its last vertex: _border extends that face's
+Bareiss fraction-free elimination (Bareiss 1968, Math. Comp. 22) by the new
+vertex in O(k^2).  The k-th pivot is the k-th leading principal minor, so by
+Sylvester's criterion the new face is PD exactly when its pivot is positive;
+if not, it is dropped with every face that extends it.  A PD face yields
+d = det A_T and u = d * A_T^-1 1 in integers, feasible when no u_i is
+negative, with value d / (b * sum(u)) and weights u / sum(u).  Values are
+compared as integers, and Fractions are built only for the winning support.
 
 Numeric mode runs projected gradient descent from each simplex vertex and
 from the uniform point, with step halving.  A start stops once its
@@ -47,17 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
 from typing import Sequence
 
 import numpy as np
 
 from .crg import BLACK, GRAY, WHITE, Crg, color_swap, component_sets, rate_matrix
-from .errors import (
-    NonConvergenceError,
-    ParameterDomainError,
-    SizeExceededError,
-)
+from .errors import NonConvergenceError, ParameterDomainError, SizeExceededError
 from .rationals import Number, number_str, to_fraction, to_probability
 
 EXACT_SWEEP_BOUND = 14
@@ -84,40 +81,53 @@ class GValue:
         }
 
 
+def _border(rates, face, w):
+    """The elimination of a PD face plus the later vertex w, or None when the
+    new face is not PD.  A face holds (v, leads, pivot, rhs) per member, in
+    order: its pivot, its entry of the eliminated right-hand side, and
+    leads[s], its row in column s after s steps, which by symmetry is row s in
+    its column.  w's row is carried through the stored pivots: each column
+    through the steps before it, then the diagonal (the new pivot) and the
+    right-hand side through all of them."""
+    row = rates[w]
+    leads = []
+    for v, column, _, _ in face:
+        x, prev = row[v], 1
+        for (_, _, pivot, _), a, b in zip(face, leads, column):
+            x, prev = (pivot * x - a * b) // prev, pivot
+        leads.append(x)
+    diagonal, rhs, prev = row[w], 1, 1
+    for (_, _, pivot, r), a in zip(face, leads):
+        diagonal, rhs = (pivot * diagonal - a * a) // prev, (pivot * rhs - a * r) // prev
+        prev = pivot
+    if diagonal <= 0:
+        return None
+    return face + ((w, leads, diagonal, rhs),)
+
+
+def _solution(face):
+    """(d, u) for a face: d = det A_T, its last pivot, and u = d * A_T^-1 1,
+    which is adj(A_T) 1, by fraction-free back substitution."""
+    d = face[-1][2]
+    acc = [d * rhs for _, _, _, rhs in face]
+    u = []
+    for _, column, pivot, _ in reversed(face):
+        x = acc.pop() // pivot
+        u.append(x)
+        acc = [y - a * x for y, a in zip(acc, column)]
+    u.reverse()
+    return d, u
+
+
 def _solve_face(rates, support: Sequence[int]):
     """Solve A_T u = d * 1 over the integers when A_T is positive definite:
-    return (d, u) with d = det(A_T) > 0, or None when A_T is not PD.
-
-    Bareiss fraction-free elimination of [A_T | 1] on the principal submatrix
-    indexed by the support, in natural order: every division is exact, and
-    the k-th pivot is the k-th leading principal minor, so elimination stops
-    at the first pivot <= 0 (Sylvester's criterion).  The last pivot is
-    det(A_T), and fraction-free back substitution gives u = d * A_T^-1 1,
-    which is adj(A_T) 1.
-    """
-    rows = [[rates[i][j] for j in support] + [1] for i in support]
-    upper = []
-    prev = 1
-    while rows:
-        pivot, *rows = rows
-        head, tail = pivot[0], pivot[1:]
-        if head <= 0:
+    (d, u) with d = det(A_T) > 0, or None at the first pivot <= 0."""
+    face = ()
+    for w in support:
+        face = _border(rates, face, w)
+        if face is None:
             return None
-        eliminated = []
-        for row in rows:
-            lead = row[0]
-            if lead:
-                eliminated.append([(x * head - lead * y) // prev for x, y in zip(row[1:], tail)])
-            else:  # the same update with lead = 0, without the zero products
-                eliminated.append([x * head // prev for x in row[1:]])
-        rows = eliminated
-        upper.append(pivot)
-        prev = head
-    d = prev
-    u = []
-    for row in reversed(upper):
-        u.insert(0, (d * row[-1] - sum(map(mul, row[1:-1], u))) // row[0])
-    return d, u
+    return _solution(face)
 
 
 def _clashes(rates, vertices: Sequence[int]) -> list[int]:
@@ -142,27 +152,12 @@ def _clashes(rates, vertices: Sequence[int]) -> list[int]:
     ]
 
 
-def _clash_free_faces(rates, vertices: Sequence[int]) -> list[int]:
-    """Bitmasks over the given vertices of every nonempty support that holds
-    no clashing or tied pair, in increasing order.
-
-    The supports over the first i vertices come in increasing order, and
-    vertex i extends each one it does not clash with into a larger bitmask
-    than any of them, so the order is kept.
-    """
-    faces = [0]
-    for i, clash in enumerate(_clashes(rates, vertices)):
-        faces += [f | 1 << i for f in faces if f & clash == 0]
-    return faces[1:]
-
-
-def _stationary_points(rates, scale: int, vertices: Sequence[int], faces: Sequence[int]):
-    """Yield (bits, value, u) for each support bitmask in faces, in the order
-    given, whose face is positive definite with a nonnegative stationary point.
-
-    rates is the rate matrix scaled by `scale`, bits selects the support from
-    vertices, u solves A_T u = d * 1 with d > 0 and no negative entry, and
-    value is d / (scale * sum(u)); the weights on the support are u / sum(u).
+def _stationary_points(rates, vertices: Sequence[int]):
+    """Yield (bits, d, u), once each, for the PD faces over vertices whose
+    stationary point has no negative entry, walked as the module docstring
+    says: a face is extended only by later vertices that form no clashing
+    or tied pair with a member, lower vertices first.  bits selects the
+    support from vertices, and u solves A_T u = d * 1 with d = det A_T > 0.
 
     Over all supports, the least value is the minimum g over the simplex, and
     the lowest bitmask W attaining it has no zero entry in u.  Each value is
@@ -177,38 +172,42 @@ def _stationary_points(rates, scale: int, vertices: Sequence[int], faces: Sequen
     yields x* and the value g.  Any minimizer's positive support holds such
     a P, at a bitmask no higher than its own; so if W had a zero entry in u,
     the positive support of its point would hold a lower bitmask of value g.
-
     The same W wins a sweep that also solves the invertible faces that are
     not PD: its winner has no zero entry by the argument above, so the lemma
-    makes it PD.  So the faces skipped, and the faces holding a clashing or
-    tied pair that _clash_free_faces never lists, change no value, weight
-    or support.
+    makes it PD.  So the faces never reached change no value, weight or
+    support.
     """
+    clashes = _clashes(rates, vertices)
     m = len(vertices)
-    for bits in faces:
-        face = _solve_face(rates, [vertices[i] for i in range(m) if bits >> i & 1])
+    stack = [(1 << j, (), j) for j in reversed(range(m))]  # (bits, parent face, new vertex)
+    while stack:
+        bits, face, i = stack.pop()
+        face = _border(rates, face, vertices[i])
         if face is None:
             continue
-        d, u = face
-        if min(u) < 0:
-            continue
-        # u is nonzero (A_T is invertible), so its sum is positive here
-        yield bits, Fraction(d, scale * sum(u)), u
+        d, u = _solution(face)
+        if min(u) >= 0:
+            yield bits, d, u
+        stack += [(bits | 1 << j, face, j) for j in range(m - 1, i, -1) if not bits & clashes[j]]
 
 
 def _exact_min(rates, scale: int, vertices: Sequence[int]):
     """Exact minimum of the rate form over the simplex on the given vertices.
-
-    Ties go to the lowest bitmask, so weights and supports are reproducible.
-    """
-    faces = _clash_free_faces(rates, vertices)
-    best = min(_stationary_points(rates, scale, vertices, faces), key=itemgetter(1), default=None)
+    Values d / (scale * sum(u)) are compared by integer cross-products, and
+    ties go to the lowest bitmask, so weights and supports are reproducible."""
+    best = None
+    for bits, d, u in _stationary_points(rates, vertices):
+        total = sum(u)
+        if best is not None:
+            order = d * best[2] - best[1] * total  # the sign of value - best value
+            if order > 0 or order == 0 and bits > best[0]:
+                continue
+        best = bits, d, total, u
     if best is None:
         raise RuntimeError("no stationary candidate found; zero diagonal entry?")
-    bits, value, u = best
-    total = sum(u)
-    weights = [Fraction(x, total) for x in u]
-    return value, weights, [v for i, v in enumerate(vertices) if bits >> i & 1]
+    bits, d, total, u = best
+    support = [v for i, v in enumerate(vertices) if bits >> i & 1]
+    return Fraction(d, scale * total), [Fraction(x, total) for x in u], support
 
 
 def _recombined_min(rates, scale: int, blocks):
@@ -422,10 +421,9 @@ def is_p_core(K: Crg, p: Number) -> bool:
     reached one, so A is invertible, PD by the lemma in the module docstring,
     and u is a positive multiple of x*.  So a clashing or tied pair (an
     O(n^2) check) or one solve of the full face decides.  With a float p, a
-    True verdict also sweeps the proper faces, and the first whose value lies
-    within the margin of the full face's makes it False; the least of them
-    is the least proper sub-CRG value, as each sub-CRG's winning support is
-    among them.
+    True verdict also walks the proper faces, which hold each sub-CRG's
+    winning support, and the first whose value lies within the margin of the
+    full face's makes it False.
     """
     margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
@@ -439,11 +437,10 @@ def is_p_core(K: Crg, p: Number) -> bool:
     if solved is None or min(solved[1]) <= 0:
         return False
     if margin:
-        d, u = solved
-        g_full = Fraction(d, scale * sum(u))
-        proper = _stationary_points(rates, scale, vertices, _clash_free_faces(rates, vertices)[:-1])
-        if any(value - g_full <= margin for _, value, _ in proper):
-            return False
+        g_full, full = Fraction(solved[0], scale * sum(solved[1])), (1 << K.n) - 1
+        for bits, d, u in _stationary_points(rates, vertices):
+            if bits != full and Fraction(d, scale * sum(u)) - g_full <= margin:
+                return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching
         # here means the optimizer itself is wrong

@@ -15,6 +15,8 @@ sequences only from JSON arrays.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import isfinite
 from operator import index
@@ -28,7 +30,9 @@ def to_fraction(value: Number | str) -> Fraction:
     """Convert ints, finite floats (to their exact binary value), strings,
     and Fractions to an exact Fraction; NaN, infinities, booleans and strings
     that name no rational (such as "x" or "1/0") are refused, although Python
-    treats True and False as the ints 1 and 0."""
+    treats True and False as the ints 1 and 0.  So is a string whose exponent
+    is past Python's int-to-string digit limit, before 10**exponent, which
+    can take seconds, is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -37,6 +41,10 @@ def to_fraction(value: Number | str) -> Fraction:
         raise ParameterDomainError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, str)):
         try:
+            exponent = isinstance(value, str) and re.search(r"[eE]([-+]?[\d_]+)\s*$", value)
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent[1])) > limit:
+                raise ValueError("exponent past the digit limit")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterDomainError(f"{value!r} is not a rational number") from exc

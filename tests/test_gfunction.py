@@ -32,8 +32,8 @@ from edcycles.crg import (
 from edcycles.errors import ParameterDomainError, SizeExceededError
 from edcycles.gfunction import (
     GValue,
-    _clash_free_faces,
     _solve_face,
+    _stationary_points,
     degree_report,
     g_endpoint,
     g_krs,
@@ -497,16 +497,18 @@ def clashing_or_tied_pairs(K, p, support):
 
 
 @pytest.fixture
-def solved_faces(monkeypatch):
-    """The supports handed to gfunction._solve_face, in call order."""
-    solved = []
+def bordered_faces(monkeypatch):
+    """The supports gfunction._border tries, its face plus the new vertex,
+    in call order."""
+    bordered = []
+    border = gfunction._border
 
-    def recording(rates, support):
-        solved.append(list(support))
-        return _solve_face(rates, support)
+    def recording(rates, face, w):
+        bordered.append([v for v, *_ in face] + [w])
+        return border(rates, face, w)
 
-    monkeypatch.setattr(gfunction, "_solve_face", recording)
-    return solved
+    monkeypatch.setattr(gfunction, "_border", recording)
+    return bordered
 
 
 SWEEP_PS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(37, 101), 0.3)
@@ -522,13 +524,13 @@ def styled_crg(rng, n, style):
     return crg_from_pairs([rng.choice(VERTEX_COLORS) for _ in range(n)])
 
 
-def test_pruned_sweep_matches_unpruned_reference(solved_faces):
+def test_pruned_sweep_matches_unpruned_reference(bordered_faces):
     # The sweep solves only positive definite faces and skips every support
     # holding a clashing or tied pair, and is_p_core decides from the full
     # face alone at a rational p; none of this may change a value, a weight,
     # a support or a verdict against the sweep over all 2^n - 1 supports.
     # The unpruned winner itself holds neither kind of pair, and is_p_core
-    # solves nothing when the full face holds one.
+    # borders nothing when the full face holds one.
     rng = random.Random(2027)
     verdicts = {True: 0, False: 0}
     pruned_full = 0
@@ -540,13 +542,13 @@ def test_pruned_sweep_matches_unpruned_reference(solved_faces):
         blocks = component_sets(K)
         decomposed = joint if len(blocks) == 1 else reference_g_value(K, p, blocks)
         assert g_value(K, p) == decomposed, (K, p)
-        solved_faces.clear()
+        bordered_faces.clear()
         verdict = is_p_core(K, p)
         assert verdict == reference_is_p_core(K, p), (K, p)
         verdicts[verdict] += 1
         assert clashing_or_tied_pairs(K, p, joint.support) == []
         if clashing_or_tied_pairs(K, p, range(K.n)):
-            assert solved_faces == [], (K, p)
+            assert bordered_faces == [], (K, p)
             pruned_full += 1
     assert min(verdicts.values()) > 100 and pruned_full > 500, (verdicts, pruned_full)
 
@@ -563,54 +565,69 @@ def test_unpruned_winning_support_is_positive_definite():
         assert positive_definite(fraction_rates(K, Fraction(p)), support), (K, p)
 
 
-def test_rational_is_p_core_solves_at_most_the_full_face(solved_faces):
+def test_rational_is_p_core_solves_at_most_the_full_face(bordered_faces):
+    # at most the full face's elimination: its prefixes, in order
     rng = random.Random(1850)
     cases = [k_rs(r, s) for r in range(11) for s in range(11 - r) if r + s]
     cases += [random_crg(rng, n, gray_weight=4.0) for n in range(1, 11) for _ in range(3)]
     verdicts = {True: 0, False: 0}
     for K in cases:
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(37, 101)):
-            solved_faces.clear()
+            bordered_faces.clear()
             verdict = is_p_core(K, p)
-            assert len(solved_faces) <= 1, (K, p)
+            prefixes = [list(range(k)) for k in range(1, len(bordered_faces) + 1)]
+            assert bordered_faces == prefixes, (K, p)
             assert verdict == reference_is_p_core(K, p), (K, p)
             verdicts[verdict] += 1
     assert min(verdicts.values()) > 20, verdicts
 
 
-def test_float_is_p_core_sweeps_the_proper_faces_for_a_true_verdict(solved_faces):
+def test_float_is_p_core_sweeps_the_proper_faces_for_a_true_verdict(bordered_faces):
     # The 1e-12 margin of a float p compares the full face with each proper
-    # face, so a True verdict solves all of them; a rational p solves one.
+    # face, so a True verdict walks all of them after the full face's own
+    # elimination; a rational p eliminates the full face alone.
     K = k_rs(2, 1)
-    solved_faces.clear()
+    full = [[0], [0, 1], [0, 1, 2]]
+    bordered_faces.clear()
     assert is_p_core(K, 0.3)
-    proper = [[i for i in range(3) if bits >> i & 1] for bits in range(1, 7)]
-    assert solved_faces == [[0, 1, 2]] + proper
-    solved_faces.clear()
+    walked = bordered_faces[len(full):]
+    assert bordered_faces[: len(full)] == full
+    assert sorted(walked) == sorted([i for i in range(3) if bits >> i & 1] for bits in range(1, 8))
+    bordered_faces.clear()
     assert is_p_core(K, Fraction(3, 10))
-    assert solved_faces == [[0, 1, 2]]
+    assert bordered_faces == full
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(37, 101), 0.3], ids=str)
 def test_sweep_lists_exactly_the_faces_without_clashing_or_tied_pairs(p):
+    # The walk yields each support once that holds no clashing or tied pair,
+    # is positive definite and has a nonnegative stationary point.
     rng = random.Random(f"faces:{p}")
     tied = 0
+    dropped = {"not_pd": 0, "negative": 0}
     for _ in range(60):
         n = rng.randint(1, 8)
         K = random_crg(rng, n, gray_weight=rng.choice((1.0, 4.0)))
         rates, _ = rate_matrix(K, p)
+        M = fraction_rates(K, p)
         pairs = list(itertools.combinations(range(n), 2))
         tied += sum(rates[i][i] + rates[j][j] == 2 * rates[i][j] for i, j in pairs)
-        expected = [
-            bits
-            for bits in range(1, 1 << n)
-            if not any(
-                bits >> i & 1 and bits >> j & 1 and rates[i][i] + rates[j][j] <= 2 * rates[i][j]
-                for i, j in pairs
-            )
-        ]
-        assert _clash_free_faces(rates, range(n)) == expected, (K, p)
-    assert tied > 0
+        expected = []
+        for bits in range(1, 1 << n):
+            support = [i for i in range(n) if bits >> i & 1]
+            if clashing_or_tied_pairs(K, p, support):
+                continue
+            if not positive_definite(M, support):
+                dropped["not_pd"] += 1
+            elif min(gauss_jordan_reference(M, support)[1]) < 0:
+                dropped["negative"] += 1
+            else:
+                expected.append(bits)
+        walked = [bits for bits, _, _ in _stationary_points(rates, range(n))]
+        assert sorted(walked) == expected, (K, p)
+    assert tied > 0, tied
+    # at p = 1/2 every clash-free face is the identity (see the next test)
+    assert p == Fraction(1, 2) or min(dropped.values()) > 0, dropped
 
 
 def independent_set_count(n, edges) -> int:
@@ -636,14 +653,17 @@ def test_sweep_at_one_half_lists_the_independent_sets_of_the_non_gray_graph():
         n = rng.randint(1, 9)
         K = random_crg(rng, n, gray_weight=rng.choice((0.5, 1.0, 4.0)))
         edges = {frozenset((i, j)) for i, j, color in K.pairs() if color != GRAY}
-        faces = _clash_free_faces(rate_matrix(K, Fraction(1, 2))[0], range(n))
-        assert len(faces) == independent_set_count(n, edges) - 1, K
-        for bits in faces:
+        faces = []
+        for bits, d, u in _stationary_points(rate_matrix(K, Fraction(1, 2))[0], range(n)):
             support = [i for i in range(n) if bits >> i & 1]
             assert not any(frozenset(e) in edges for e in itertools.combinations(support, 2))
+            # the face of an independent set is the identity
+            assert (d, u) == (1, [1] * len(support))
+            faces.append(bits)
+        assert len(set(faces)) == len(faces) == independent_set_count(n, edges) - 1, K
 
 
-def test_tied_full_face_is_no_p_core_without_a_solve(solved_faces):
+def test_tied_full_face_is_no_p_core_without_a_solve(bordered_faces):
     # Two white vertices on a white edge: A_ii + A_jj = 2 A_ij and the rate
     # form is p at every point of the simplex, so a single vertex ties the
     # full face.
@@ -651,9 +671,41 @@ def test_tied_full_face_is_no_p_core_without_a_solve(solved_faces):
     p = Fraction(1, 3)
     assert clashing_or_tied_pairs(K, p, range(2)) == [(0, 1)]
     assert g_value(K, p).value == p
-    solved_faces.clear()
+    bordered_faces.clear()
     assert is_p_core(K, p) is False
-    assert solved_faces == []
+    assert bordered_faces == []
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(37, 101), 0.3], ids=str)
+def test_walk_borders_the_same_solution_as_the_face_solver_and_the_reference(p):
+    rng = random.Random(f"walk:{p}")
+    yielded = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        K = random_crg(rng, n, gray_weight=rng.choice((1.0, 4.0)))
+        rates, scale = rate_matrix(K, p)
+        M = fraction_rates(K, p)
+        for bits, d, u in _stationary_points(rates, range(n)):
+            support = [i for i in range(n) if bits >> i & 1]
+            assert (d, u) == _solve_face(rates, support), (K, support)
+            det, y = gauss_jordan_reference(M, support)
+            assert d == det * scale ** len(support)
+            assert [Fraction(x, d) for x in u] == [v / scale for v in y]
+            yielded += 1
+    assert yielded > 500, yielded
+
+
+def test_tie_reached_out_of_bitmask_order_goes_to_the_lower_bitmask():
+    # Black vertex 0, white vertex 1 on a white edge, at p = 1/4: A = 4 M(p)
+    # is [[3, 1], [1, 1]], and the face {0, 1} is PD with u = (0, 2), the
+    # point e_1, so it ties the face {1} at 1/4.  The walk reaches {0, 1}
+    # (bitmask 3) first, and {1} (bitmask 2) still wins.
+    K = crg_from_pairs([BLACK, WHITE], [(0, 1, WHITE)])
+    p = Fraction(1, 4)
+    walked = list(_stationary_points(rate_matrix(K, p)[0], range(2)))
+    assert walked == [(0b01, 3, [1]), (0b11, 2, [0, 2]), (0b10, 1, [1])]
+    gv = g_value(K, p, decompose=False)
+    assert (gv.value, gv.weights, gv.support) == (p, (0, 1), (1,))
 
 
 @st.composite

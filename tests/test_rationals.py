@@ -31,6 +31,14 @@ def test_unparsable_string_is_a_domain_error_at_a_library_entry_point(text):
         to_fraction(text)
 
 
+def test_exponent_past_the_digit_limit_is_a_domain_error_at_a_library_entry_point():
+    # refused from the exponent, before 10**2000000 is built
+    with pytest.raises(ParameterDomainError):
+        to_fraction("1e2000000")
+    with pytest.raises(ParameterDomainError):
+        gamma_closed(PowerCycleParams(25, 3), "1e-2000000")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_to_fraction_refuses_non_finite_floats(value):
     with pytest.raises(ParameterDomainError):
