@@ -23,19 +23,15 @@ twins, so without this rule every refutation would be repeated once for
 each rotation of the root image.  The witness returned stays the same (see
 find_embedding).
 
-Each call also caches the search states that failed.  Once a vertex has no
-H-neighbour left to place it is dead, and only the set of dead images
-matters; the vertices still awaiting a neighbour are live, and their images
-count one by one.  So a node whose pair (live images in order, set of dead
-images) already failed at its depth is refused without a search; the
-argument is in find_embedding.  That is why refuting a cycle power, whose
-vertices die soon after their last band neighbour is placed, walks over few
-distinct states.
+Each call also caches the search states that failed.  A node's subtree is
+fixed by its own arguments, its depth, its domains and its mask of open
+images, so a node whose arguments already failed at its depth is refused
+without a search.  That is why refuting a cycle power, whose frontier holds
+at most about 2t domains, walks over few distinct states.
 
 The tables the search only reads are built once per graph and once per CRG,
-not once per call.  Per graph: the search order, each depth's domain steps,
-and the live and dying positions with the depths that keep a failed-state
-cache.  Per CRG: the feasibility masks, the twin classes' fill order and the
+not once per call.  Per graph: the search order and each depth's domain
+steps.  Per CRG: the feasibility masks, the twin classes' fill order and the
 root images of the Aut(K) orbits.  Each is a function of the graph's or the
 CRG's value alone, so a cache keyed by that value is exact: equal inputs
 get equal tables, whatever object carries them.  The tables are tuples, so
@@ -253,25 +249,24 @@ def _search_order(H: Graph) -> list[int]:
 def _graph_plan(H: Graph) -> tuple:
     """The search's tables that depend on H alone, as nested tuples.
 
-    Returns (order, plan, own, live, dies, keeps), indexed by depth, that is
-    by position in the search order.  Cached by value: the tables are a
-    function of H's vertex count and edge set, so equal graphs share them,
-    and tuples keep any call from changing what the next one reads.  The
-    cache keeps every distinct graph for the life of the process;
-    _graph_plan.cache_clear() releases them.
+    Returns (order, plan, own), indexed by depth, that is by position in the
+    search order.  Cached by value: the tables are a function of H's vertex
+    count and edge set, so equal graphs share them, and tuples keep any call
+    from changing what the next one reads.  The cache keeps every distinct
+    graph for the life of the process; _graph_plan.cache_clear() releases
+    them.
     """
     order = _search_order(H)
     n = H.n
     # around[d]: bit d2 set when position d2 is position d or its H-neighbour,
-    # so its lowest and highest bits are first[d] and last[d], the first and
-    # last positions adjacent to d, or d itself.
+    # so its lowest bit is first[d], the first position adjacent to d, or d
+    # itself.
     position = {v: d for d, v in enumerate(order)}
     around = [1 << d for d in range(n)]
     for i, j in H.edges:
         around[position[i]] |= 1 << position[j]
         around[position[j]] |= 1 << position[i]
     first = [(mask & -mask).bit_length() - 1 for mask in around]
-    last = [mask.bit_length() - 1 for mask in around]
 
     # Shared domain.  Position d >= D is touched at depth D once first[d] < D.
     # A node at depth D holds the domains of touched[D] in that order, then
@@ -294,17 +289,7 @@ def _graph_plan(H: Graph) -> tuple:
         if len(touched[depth + 1]) < n - depth - 1:
             steps.append((-1, False))
         plan.append(tuple(steps))
-
-    # Failed-state cache.  Position d is live at depth D > d while
-    # last[d] >= D and dead after.  live[D] lists the live positions at depth
-    # D and dies[D] those that turn dead on reaching it; keeps[D] says whether
-    # depth D has a dead position, and so keeps a cache.
-    live = tuple(tuple(d for d in range(depth) if last[d] >= depth) for depth in range(n))
-    dies = [[] for _ in range(n + 1)]
-    for d in range(n):
-        dies[last[d] + 1].append(d)
-    keeps = tuple(len(live[depth]) < depth for depth in range(n))
-    return tuple(order), tuple(plan), own, live, tuple(map(tuple, dies)), keeps
+    return tuple(order), tuple(plan), own
 
 
 @cache
@@ -377,22 +362,16 @@ def find_embedding(
     for an image already in use that adds nothing, as its successor opened
     when it was first placed.
 
-    Failed states are cached per call and dropped when it returns.  At depth
-    D of the search order, a placed position is live if some position >= D
-    is its H-neighbour, and dead otherwise.  The rest of the search reads
-    the placed images only through the later domains and allowed.  A dead
-    image u enters every later domain as non_ok[u], so the dead images
-    count as a set.  The images in use are the live images plus the dead
-    set, and allowed follows from them by the fill order.  So the tuple of
-    live images and the set of dead images fix the whole subtree, and a
-    state that failed once fails again: refusing it changes the work,
-    never the answer or the witness.  The key packs both into one int, the
-    dead-image mask followed by K.n.bit_length() bits per live image; the
-    live positions are fixed by D, so the int determines the pair.  A node
-    forms its key just before its first child, so a node with no child is
-    neither keyed nor recorded.  Depths with no dead position keep no
-    cache, since there the key is the whole prefix, which the search meets
-    once.
+    Failed states are cached per call, one set per depth, and dropped when
+    it returns.  extend's result depends only on its arguments: the tables
+    it reads are fixed, the assignment is only written until a True return
+    builds the witness, and the root-orbit mask applies at depth 0 alone,
+    where there is one node.  So a node whose (allowed, *domains) already
+    failed at its depth fails again: refusing it changes the work, never
+    the answer or the witness.  The key packs them into one int, allowed
+    followed by K.n bits per domain; the depth fixes how many domains there
+    are, so the int determines them.  A node forms its key just before its
+    first child, so a node with no child is neither keyed nor recorded.
 
     Root-orbit rule.  Depth 0 may take only the least vertex of each orbit
     of Aut(K), from _automorphism_orbits; no deeper position is restricted,
@@ -405,7 +384,7 @@ def find_embedding(
     the first member of its twin class, since twin classes lie inside
     orbits; so a twin-canonical embedding would come before phi*, which is
     absurd.  Hence the same witness, or None, is returned.  The cache stays
-    exact, since depth 0 keeps none and every subtree below a root image
+    exact, since depth 0 has one node and every subtree below a root image
     is searched as before.  The timeout error also reports how many images
     the first vertex may take.
     """
@@ -418,18 +397,17 @@ def find_embedding(
     if H.n == 0:
         return ()
 
-    order, plan, own, live, dies, keeps = _graph_plan(H)
+    order, plan, own = _graph_plan(H)
     edge_ok, non_ok, successor, first_fresh, root_images = _crg_plan(K)
     n = H.n
-    failed = [set() if keep else None for keep in keeps]
-    width = K.n.bit_length()
+    failed = [set() for _ in range(n)]
 
     assignment = [0] * n
     deadline = None if timeout is None else time.monotonic() + timeout
     nodes = 0
     refused = 0
 
-    def extend(depth: int, domains: list[int], allowed: int, dead: int) -> bool:
+    def extend(depth: int, domains: list[int], allowed: int) -> bool:
         nonlocal nodes, refused
         seen = failed[depth]
         steps = plan[depth]
@@ -463,23 +441,20 @@ def find_embedding(
                 new_domains.append(domain)
             if len(new_domains) < len(steps):
                 continue
-            if key is None and seen is not None:
-                key = dead
-                for d in live[depth]:
-                    key = key << width | assignment[d]
+            if key is None:
+                key = allowed
+                for domain in domains:
+                    key = key << K.n | domain
                 if key in seen:
                     refused += 1
                     return False
-            new_dead = dead
-            for d in dies[depth + 1]:
-                new_dead |= 1 << assignment[d]
-            if extend(depth + 1, new_domains, allowed | successor[u], new_dead):
+            if extend(depth + 1, new_domains, allowed | successor[u]):
                 return True
         if key is not None:
             seen.add(key)
         return False
 
-    if extend(0, [(1 << K.n) - 1], first_fresh, 0):
+    if extend(0, [(1 << K.n) - 1], first_fresh):
         phi = [0] * n
         for d, v in enumerate(order):
             phi[v] = assignment[d]
@@ -604,8 +579,13 @@ def gray_cycle_embedding_report(
     h_min = gray_window_h_min(t)
     if h < h_min:
         raise ParameterDomainError(f"need h >= max(t^2 - t, 2t + 2) = {h_min}, got {h}")
-    H = params.graph()
     lo, hi = params.ell(a), params.longest_gray_cycle
+    if a + hi > EMBED_CRG_BOUND:
+        raise SizeExceededError(
+            f"gray-cycle window {lo}..{hi} with {a} white vertices needs a "
+            f"{a + hi}-vertex CRG, over EMBED_CRG_BOUND = {EMBED_CRG_BOUND}"
+        )
+    H = params.graph()
     report = GrayCycleReport(h, t, a)
     for k in range(lo, hi + 1):
         phi = find_embedding(H, gray_cycle_crg(a, k), timeout=timeout)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from edcycles import embed
 from edcycles.crg import (
     BLACK,
     GRAY,
@@ -197,10 +198,10 @@ def brute_embeds(H, K):
 
 
 def test_find_embedding_matches_brute_force():
-    # banded graphs, cycle powers and sparse graphs have vertices that turn
-    # dead early in the search order, which is where the failed-state cache
-    # keys and refuses states; a cache keyed on less than the live images
-    # and the dead-image set answers some of these pairs wrongly
+    # banded graphs, cycle powers and sparse graphs have small frontiers,
+    # so different prefixes often leave the same domains and open images,
+    # which is where the failed-state cache keys and refuses states; a
+    # cache keyed on less than those answers some of these pairs wrongly
     rng = random.Random(83)
     graphs = [
         random_graph(rng, rng.randint(5, 7), rng.choice((0.2, 0.3, 0.5))) for _ in range(150)
@@ -297,6 +298,30 @@ def test_find_embedding_returns_the_plain_searchs_witness():
     assert 100 < found < len(pairs) - 100
 
 
+def complement(H):
+    return Graph.from_edges(
+        H.n, [(i, j) for i in range(H.n) for j in range(i + 1, H.n) if not H.adjacent(i, j)]
+    )
+
+
+def test_dense_graphs_return_the_plain_searchs_witness():
+    # in a clique or the complement of a cycle power every placed vertex
+    # has a neighbour left to place until late in the order, yet prefixes
+    # that leave the same domains and open images share one cache entry
+    rng = random.Random(61)
+    graphs = [Graph.from_edges(n, list(itertools.combinations(range(n), 2))) for n in range(2, 10)]
+    graphs += [complement(power_cycle(h, t)) for h in range(5, 11) for t in (1, 2) if 2 * t < h]
+    graphs += [random_graph(rng, rng.randint(5, 9), 0.85) for _ in range(20)]
+    found = 0
+    for H in graphs:
+        for _ in range(12):
+            K = random_crg(rng, rng.randint(2, 6), gray_weight=rng.choice((1.0, 3.0)))
+            phi = find_embedding(H, K, timeout=None)
+            assert phi == plain_find_embedding(H, K), (H, K)
+            found += phi is not None
+    assert 50 < found < 12 * len(graphs) - 50
+
+
 def is_frozen(value):
     """True for an int, or a tuple of frozen values at every depth."""
     if isinstance(value, tuple):
@@ -307,7 +332,7 @@ def is_frozen(value):
 def test_cached_plans_are_tuples():
     for H in (power_cycle(13, 2), banded_graph(7, 2), Graph.from_edges(4, [])):
         plan = _graph_plan(H)
-        assert len(plan) == 6 and is_frozen(plan)
+        assert len(plan) == 3 and is_frozen(plan)
     for K in (k_rs(2, 3), gray_cycle_crg(1, 6), random_crg(random.Random(3), 5)):
         plan = _crg_plan(K)
         assert len(plan) == 5 and is_frozen(plan)
@@ -338,7 +363,7 @@ def test_equal_inputs_share_plans_and_witness():
 def test_witness_after_a_timeout_matches_a_fresh_process():
     # a satisfiable search of more than 1024 nodes, stopped at the first
     # clock read, must leave nothing behind that the next call would read
-    H, K = power_cycle(28, 2), gray_cycle_crg(2, 7)
+    H, K = power_cycle(22, 3), gray_cycle_crg(2, 9)
     with pytest.raises(EmbedTimeoutError, match="after 1024 nodes"):
         find_embedding(H, K, timeout=1e-9)
     phi = find_embedding(H, K, timeout=None)
@@ -346,7 +371,7 @@ def test_witness_after_a_timeout_matches_a_fresh_process():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from edcycles import find_embedding, gray_cycle_crg, power_cycle\n"
-        "print(list(find_embedding(power_cycle(28, 2), gray_cycle_crg(2, 7), timeout=None)))"
+        "print(list(find_embedding(power_cycle(22, 3), gray_cycle_crg(2, 9), timeout=None)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -503,14 +528,15 @@ def test_timeout_reports_cache_refusals():
     refusals = r"after 1024 nodes, [1-9]\d* refused by the failed-state cache"
     with pytest.raises(EmbedTimeoutError, match=refusals):
         find_embedding(power_cycle(33, 3), k_rs(3, 4), timeout=1e-9)
-    # in a clique every placed vertex awaits the last one, so no depth keeps
-    # a cache and nothing is refused; twin-free gray edges make it search
+    # in a clique every later domain is the AND of edge_ok over the set of
+    # placed images, so prefixes that place one set in different orders
+    # leave the same state; twin-free gray edges make it search
     rng = random.Random(5)
     colors = [GRAY if rng.random() < 0.7 else WHITE for _ in range(14 * 13 // 2)]
     pairs = [(i, j) for i in range(14) for j in range(i + 1, 14)]
     K = crg_from_pairs((WHITE,) * 14, [(i, j, c) for (i, j), c in zip(pairs, colors)])
     clique = Graph.from_edges(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
-    with pytest.raises(EmbedTimeoutError, match=r"after 1024 nodes, 0 refused"):
+    with pytest.raises(EmbedTimeoutError, match=r"after 1024 nodes, 291 refused"):
         find_embedding(clique, K, timeout=1e-9)
 
 
@@ -528,8 +554,8 @@ def test_timeout_reports_root_images():
     "h, t, K, refused",
     [
         (33, 3, k_rs(3, 4), 183),
-        (25, 3, k_rs(3, 3), 138),
-        (26, 2, k_rs(2, 5), 232),
+        (25, 3, k_rs(3, 3), 184),
+        (26, 2, k_rs(2, 5), 266),
         # black images on a gray cycle: the shared domain empties once every
         # image is used, and without that prune the count reads 180
         (29, 1, gray_cycle_crg(0, 14), 186),
@@ -606,6 +632,19 @@ def test_gray_cycle_report_skips_boundary_past_crg_bound():
     report = gray_cycle_embedding_report(PowerCycleParams(14, 1), 0)
     assert report.ok
     assert report.boundary == {6: False}
+
+
+@pytest.mark.parametrize("h, t, a", [(28, 2, 1), (30, 2, 0), (15, 1, 0)])
+def test_gray_cycle_report_refuses_a_window_past_crg_bound_before_searching(
+    h, t, a, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(embed, "find_embedding", lambda *args, **kw: calls.append(args))
+    hi = h // t
+    window = f"window {PowerCycleParams(h, t).ell(a)}..{hi} with {a} white vertices"
+    with pytest.raises(SizeExceededError, match=window + f" needs a {a + hi}-vertex CRG"):
+        gray_cycle_embedding_report(PowerCycleParams(h, t), a)
+    assert calls == []
 
 
 def test_gray_cycle_report_range_errors():
