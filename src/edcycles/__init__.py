@@ -61,6 +61,7 @@ from .gfunction import (
     degree_report,
     g_endpoint,
     g_krs,
+    g_krs_min,
     g_value,
     is_p_core,
     p_core_structure_ok,
@@ -69,6 +70,7 @@ from .graphs import (
     Graph,
     PowerCycleParams,
     chromatic_number,
+    find_partition,
     graph_from_json,
     graph_to_json,
     partitionable,

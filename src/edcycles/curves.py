@@ -12,8 +12,9 @@ ordinary-cycle formula is their t = 1 case, and the three-term form is
 their large-h case, whose inequality the facts sweep in verify checks.
 
 Every branch value comes from gfunction.g_krs, the g-function of the
-all-gray CRG K(a, c), so every closed form is an exact Fraction for every p
-in [0, 1]; a float p is converted to its exact binary value first.
+all-gray CRG K(a, c), and the least branch from gfunction.g_krs_min, so
+every closed form is an exact Fraction for every p in [0, 1]; a float p is
+converted to its exact binary value first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import nextafter, sqrt
 from typing import Callable, Sequence
 
 from .errors import NonConcavityError, ParameterDomainError
-from .gfunction import g_krs
+from .gfunction import g_krs, g_krs_min
 from .graphs import PowerCycleParams
 from .rationals import Number, number_str, to_fraction, to_probability
 
@@ -60,8 +61,9 @@ def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Fracti
 
 def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Fraction, str]:
     """The least branch value at p and its label; the first branch wins a tie."""
-    label, value = min(branch_values(params, p), key=lambda branch: branch[1])
-    return value, label
+    table = branches(params)
+    value, index = g_krs_min([(a, c) for _, a, c in table], p)
+    return value, table[index][0]
 
 
 def gamma_closed(params: PowerCycleParams, p: Number) -> Fraction:

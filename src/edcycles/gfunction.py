@@ -361,6 +361,11 @@ def g_endpoint(K: Crg, p: Number) -> Fraction:
     return _recombined_min(rates, scale, component_sets(K))[0]
 
 
+def _require_krs(r: int, s: int) -> None:
+    if r < 0 or s < 0 or r + s == 0:
+        raise ParameterDomainError("need r, s >= 0 with r + s >= 1")
+
+
 def g_krs(r: int, s: int, p: Number) -> Fraction:
     """Closed-form g of the all-gray CRG K(r, s): the harmonic rule
     (r/p + s/(1-p))^-1, exact for every p in [0, 1].
@@ -370,14 +375,39 @@ def g_krs(r: int, s: int, p: Number) -> Fraction:
     These endpoint values match g_endpoint: any white vertex makes g vanish
     at p=0, any black vertex at p=1.
     """
-    if r < 0 or s < 0 or r + s == 0:
-        raise ParameterDomainError("need r, s >= 0 with r + s >= 1")
+    _require_krs(r, s)
     p = to_probability(p)
     m, n = p.numerator, p.denominator
     denominator = n * (r * (n - m) + s * m)
     if denominator == 0:
         return Fraction(1, r + s)
     return Fraction(m * (n - m), denominator)
+
+
+def g_krs_min(pairs: Sequence[tuple[int, int]], p: Number) -> tuple[Fraction, int]:
+    """The least g_krs(r, s, p) over the (r, s) pairs, and the index of the
+    first pair that attains it.
+
+    For 0 < p = m/n < 1 every pair's value has the numerator m(n-m), so the
+    least value belongs to the largest denominator factor r(n-m) + s m:
+    those integers are compared, and one Fraction is built.  At p = 0 and
+    p = 1 the values are taken from g_krs pair by pair.
+    """
+    if not pairs:
+        raise ParameterDomainError("need at least one (r, s) pair")
+    p = to_probability(p)
+    m, n = p.numerator, p.denominator
+    if m == 0 or m == n:
+        values = [g_krs(r, s, p) for r, s in pairs]
+        value = min(values)
+        return value, values.index(value)
+    best = index = -1
+    for k, (r, s) in enumerate(pairs):
+        _require_krs(r, s)
+        weight = r * (n - m) + s * m
+        if weight > best:
+            best, index = weight, k
+    return Fraction(m * (n - m), n * best), index
 
 
 @dataclass(frozen=True)

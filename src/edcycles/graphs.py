@@ -6,11 +6,13 @@ deliberately limited to small vertex counts and refuses larger instances
 instead of approximating, because downstream verification treats its
 answers as ground truth.
 
-The search states once when a part may take a vertex, for independent and
-clique parts alike, and within one call it remembers failed frontiers
-(nogood learning); partitionable says why that cache is exact.  On cycle
-powers, whose cyclic bandwidth keeps the frontier small, it cuts the
-spectra's unsatisfiable proofs by an order of magnitude.
+The search keeps each part as its allowed set, the vertices it may still
+take.  It fails a node at once when an unplaced vertex lies in no allowed
+set (a forward check), and within one call it remembers the failed
+multisets of allowed sets (nogood learning); find_partition says why both
+are exact.  On a cycle power, whose edges join only vertices within cyclic
+distance t, few distinct states recur, and the cache cuts the spectra's
+unsatisfiable proofs by an order of magnitude.
 """
 
 from __future__ import annotations
@@ -173,36 +175,44 @@ def chromatic_number(g: Graph) -> int:
 
 
 def partitionable(g: Graph, r: int, s: int) -> bool:
-    """Can V(g) be split into at most r independent sets and at most s cliques?
+    """Can V(g) be split into at most r independent sets and at most s cliques?"""
+    return find_partition(g, r, s) is not None
 
-    Backtracking over vertices in index order, with one placement rule for
-    both kinds of part: a part with member mask m takes v when m & clash == 0,
-    where clash is v's neighbourhood for an independent part and its
-    complement for a clique part.  Independent parts are tried first.  Parts
-    of the same kind are interchangeable, so a vertex may open only the
-    first still-empty part of each kind; this prunes the r!*s! relabelling
-    symmetry and stays complete from any partial placement, not only from
-    the root.  An empty graph is placed at once, and with no parts at all
-    vertex 0 has nowhere to go.
 
-    Failed frontiers are cached per call.  Once vertices 0..v-1 are placed,
-    a later vertex meets the placed ones only inside boundary[v], the placed
-    vertices with a neighbour >= v.  Whether it fits an independent part
-    depends only on the part's projection onto boundary[v]; a clique part
-    with a member outside boundary[v] can take no later vertex at all, and
-    an open one lies wholly inside it.  So whether a placement can be
-    completed is a function of two multisets, the projections of the
-    independent parts and the masks of the open clique parts, empty parts
-    counting as 0.  A node that fails records that key at its depth, and a
-    node whose key already failed there is refused without a search.  That
-    is sound because the key fixes the whole subtree below the node, so no
-    answer depends on the cache, only the work does.  The key is formed
-    just before a node's first child; a node with no child fails faster by
-    its own loop and is not recorded.  Where boundary[v] is every placed
-    vertex the key is the whole partial partition, which the search meets
-    once, so such depths keep no cache.  On cycle powers, whose cyclic
-    bandwidth t keeps boundary[v] within 2t vertices, unsatisfiable proofs
-    shrink to a walk over few distinct frontiers.
+def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
+    """The numbers of independent sets and of cliques in the first partition
+    of V(g) into at most r independent sets and at most s cliques that the
+    search finds, or None when there is none.
+
+    Backtracking over vertices in index order.  Each part is kept as its
+    allowed set, the bitmask of the vertices it may still take; every part
+    starts full.  An independent part that takes v ANDs in the complement of
+    v's neighbourhood, a clique part ANDs in the neighbourhood, and a part
+    takes v iff bit v of its allowed set is set.  Independent parts are
+    tried first.  Parts of the same kind are interchangeable, so a vertex
+    may open only the first still-empty part of each kind, and the search
+    keeps the count of parts opened of each kind.  The rule stays complete
+    from any node, not only from the root: the empty parts of a kind all
+    have the full allowed set, so in any completion they can be relabelled
+    to open in index order.  An empty graph is placed at once, and with no
+    parts at all vertex 0 has nowhere to go.
+
+    Once vertices 0..v-1 are placed, whether a part can take a set S of
+    later vertices depends only on its allowed set: S must lie in it and be
+    independent, or a clique, by its kind.  So whether a node can be
+    completed is a function of the multiset of its parts' kinds and allowed
+    sets above v.  Two checks read that state.  The forward check fails a
+    node when some vertex >= v lies in no allowed set: allowed sets only
+    shrink, so that vertex has nowhere to go.  Failed states are cached per
+    call, one set per depth.  The key at depth v is the allowed sets shifted
+    right by v, each clique part's marked by bit n - v, sorted and packed
+    into one int in (n - v + 1)-bit fields; r and s are fixed within the
+    call, so the int determines the multiset.  A node whose key already
+    failed at its depth is refused without a search.  That is sound because
+    the key fixes the whole subtree below the node, so no answer depends on
+    the cache, only the work does.  Keyed by allowed sets, the cache joins
+    states with different members but the same reach: on C_h^3, a clique
+    part {v-3, v-2} and a clique part {v-3} may both take v alone.
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
@@ -213,54 +223,52 @@ def partitionable(g: Graph, r: int, s: int) -> bool:
     n = g.n
     r, s = min(r, n), min(s, n)  # parts beyond n stay empty
     adj = g.adjacency_masks
-    ind_masks = [0] * r
-    clq_masks = [0] * s
-    boundary = [0] * n
-    later = 0  # neighbours of the vertices >= v
-    for v in range(n - 1, -1, -1):
-        later |= adj[v]
-        boundary[v] = later & ((1 << v) - 1)
-    failed = [None if boundary[v] == (1 << v) - 1 else set() for v in range(n)]
-    clique_bit = 1 << n
-    width = n + 1
+    full = (1 << n) - 1
+    ind = [full] * r
+    clq = [full] * s
+    failed = [set() for _ in range(n)]
 
-    def frontier(v: int) -> int:
-        """The key at depth v, packed in one int: a leading 1, then the
-        sorted fields in (n+1)-bit slots.  Clique masks carry bit n, which
-        no projection has, so the int determines both multisets."""
-        b = boundary[v]
-        fields = [m & b for m in ind_masks]
-        fields += [m | clique_bit for m in clq_masks if m & b == m]
+    def place(v: int, a: int, b: int) -> tuple[int, int] | None:
+        """Place v.. given a open independent parts and b open cliques."""
+        if v == n:
+            return a, b
+        union = 0
+        for m in ind:
+            union |= m
+        for m in clq:
+            union |= m
+        if union >> v != full >> v:  # forward check
+            return None
+        width = n - v + 1
+        marker = 1 << (n - v)
+        fields = [m >> v for m in ind]
+        fields += [m >> v | marker for m in clq]
         fields.sort()
-        key = 1
+        key = 0
         for x in fields:
             key = key << width | x
-        return key
-
-    def place(v: int) -> bool:
-        if v == n:
-            return True
         seen = failed[v]
-        key = None
-        for masks, clash in ((ind_masks, adj[v]), (clq_masks, ~adj[v])):
-            opened = False
-            for i, m in enumerate(masks):
-                if m == 0:
-                    if opened:
-                        break
-                    opened = True
-                if m & clash == 0:
-                    if key is None and seen is not None:
-                        key = frontier(v)
-                        if key in seen:
-                            return False
-                    masks[i] = m | 1 << v
-                    if place(v + 1):
-                        return True
-                    masks[i] = m
-        if key is not None:
-            seen.add(key)
-        return False
+        if key in seen:
+            return None
+        bit = 1 << v
+        row = adj[v]
+        for i in range(min(a + 1, r)):
+            m = ind[i]
+            if m & bit:
+                ind[i] = m & ~row
+                found = place(v + 1, max(a, i + 1), b)
+                ind[i] = m
+                if found is not None:
+                    return found
+        for i in range(min(b + 1, s)):
+            m = clq[i]
+            if m & bit:
+                clq[i] = m & row
+                found = place(v + 1, a, max(b, i + 1))
+                clq[i] = m
+                if found is not None:
+                    return found
+        seen.add(key)
+        return None
 
-    return place(0)
-
+    return place(0, 0, 0)

@@ -4,10 +4,11 @@ The clique spectrum of a forbidden graph H collects the pairs (r, s) for
 which V(H) cannot be partitioned into r independent sets and s cliques.  It
 is a staircase (a Ferrers diagram): shrinking either coordinate preserves
 membership.  clique_spectrum walks down that staircase once, as in
-saddleback search, refuting at most one pair per row, and stops at its
-first empty row, so every spectrum it returns is complete.  The curve
-gamma(p) takes the minimum of the all-gray-CRG closed form over the
-spectrum; only the extreme points can attain it.
+saddleback search.  Each partition the oracle finds moves the walk straight
+to its own clique count, each row ends with one refutation, and the walk
+stops at its first empty row, so every spectrum it returns is complete.
+The curve gamma(p) takes the minimum of the all-gray-CRG closed form over
+the spectrum; only the extreme points can attain it.
 
 Everything here goes through the exhaustive partition oracle, never through
 closed-form shortcuts, so it can serve as the independent side of
@@ -21,8 +22,8 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import ParameterDomainError
-from .gfunction import g_krs
-from .graphs import Graph, PowerCycleParams, partitionable
+from .gfunction import g_krs_min
+from .graphs import Graph, PowerCycleParams, find_partition
 from .rationals import Number
 
 
@@ -46,15 +47,20 @@ def clique_spectrum(H: Graph) -> CliqueSpectrum:
     Row r's boundary is the least s with an (r, s)-partition.  Boundaries
     only shrink as r grows, and row 0's is at most H.n (singleton cliques),
     so one staircase walk finds them all: start at s = H.n and, on each row,
-    step s down while partitionable(H, r, s - 1) holds.  Each row costs one
+    ask find_partition(H, r, s - 1).  A partition it finds has some b <= s - 1
+    cliques, so the boundary is at most b, and the walk jumps to s = b; the
+    first refutation fixes the row's boundary at s.  Each row costs one
     refutation at most, the one that stops its walk.  The first empty row
     ends the walk: no later row can hold a pair, so the spectrum is whole.
     """
     boundaries = []
     s = H.n
     for r in count():
-        while s > 0 and partitionable(H, r, s - 1):
-            s -= 1
+        while s > 0:
+            found = find_partition(H, r, s - 1)
+            if found is None:
+                break
+            s = found[1]
         boundaries.append(s)
         if s == 0:  # an empty row certifies closure
             break
@@ -80,4 +86,4 @@ def gamma(spec: CliqueSpectrum, p: Number) -> Fraction:
     """Minimum of the all-gray closed form g_krs over the extreme points."""
     if not spec.extreme_points:
         raise ParameterDomainError("empty spectrum has no gamma value")
-    return min(g_krs(r, s, p) for r, s in spec.extreme_points)
+    return g_krs_min(spec.extreme_points, p)[0]

@@ -37,6 +37,7 @@ from edcycles.gfunction import (
     degree_report,
     g_endpoint,
     g_krs,
+    g_krs_min,
     g_value,
     is_p_core,
     p_core_structure_ok,
@@ -282,6 +283,7 @@ P_ENTRIES = {
     "g_value_numeric": lambda p: g_value(k_rs(1, 1), p, mode="numeric"),
     "is_p_core": lambda p: is_p_core(k_rs(1, 1), p),
     "g_krs": lambda p: g_krs(1, 1, p),
+    "g_krs_min": lambda p: g_krs_min([(1, 1)], p),
 }
 
 
@@ -309,6 +311,34 @@ def test_g_krs_matches_endpoint_conventions():
     assert g_krs(0, 3, 0) == Fraction(1, 3)
     assert g_krs(3, 0, 1) == Fraction(1, 3)
     assert g_krs(2, 1, 1) == 0
+
+
+def test_g_krs_min_is_the_first_least_g_krs():
+    rng = random.Random(83)
+    ps = [Fraction(0), Fraction(1), Fraction(1, 2), 0.3, 0.75]
+    ps += [Fraction(rng.randint(1, q - 1), q) for q in rng.choices(range(2, 200), k=40)]
+    for p in ps:
+        for _ in range(10):
+            pairs = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 6))]
+            pairs = [(r, s) for r, s in pairs if r + s] or [(1, 0)]
+            values = [g_krs(r, s, p) for r, s in pairs]
+            least = min(values)
+            assert g_krs_min(pairs, p) == (least, values.index(least)), (pairs, p)
+
+
+def test_g_krs_min_keeps_the_first_of_tied_pairs():
+    # C_5's three spectrum pairs tie at 1/2; at p = 0 every pair with an
+    # independent part vanishes, at p = 1 every pair with a clique
+    assert g_krs_min([(0, 2), (1, 1), (2, 0)], Fraction(1, 2)) == (Fraction(1, 4), 0)
+    assert g_krs_min([(0, 2), (1, 1), (2, 0)], 0) == (Fraction(0), 1)
+    assert g_krs_min([(2, 0), (0, 2), (1, 1)], 1) == (Fraction(0), 1)
+    assert g_krs_min([(3, 0), (2, 0)], 1) == (Fraction(1, 3), 0)
+
+
+def test_g_krs_min_refuses_bad_pairs():
+    for pairs in ([], [(1, 1), (0, 0)], [(2, -1)]):
+        with pytest.raises(ParameterDomainError):
+            g_krs_min(pairs, Fraction(1, 3))
 
 
 def test_degree_report_all_gray():

@@ -12,6 +12,7 @@ from edcycles.graphs import (
     Graph,
     PowerCycleParams,
     chromatic_number,
+    find_partition,
     graph_from_json,
     graph_to_json,
     partitionable,
@@ -205,6 +206,30 @@ def test_partitionable_agrees_with_brute_force_on_recurring_frontiers():
             r,
             s,
         )
+
+
+def test_find_partition_counts_match_brute_force():
+    # None exactly when no partition exists; otherwise the counts of the
+    # found partition fit the bounds and admit a partition themselves
+    rng = random.Random(17)
+    for trial in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
+        r, s = rng.randint(0, 4), rng.randint(0, 4)
+        found = find_partition(g, r, s)
+        assert (found is None) == (not brute_partitionable(g, r, s)), (g.edges, r, s)
+        if found is not None:
+            a, b = found
+            assert a <= r and b <= s, (g.edges, r, s, found)
+            assert brute_partitionable(g, a, b), (g.edges, r, s, found)
+
+
+def test_find_partition_tells_part_kinds_apart():
+    # the search meets two states with the same allowed sets that differ in
+    # which part is the clique; only the clique marker in the failed-state
+    # key keeps them apart
+    g = Graph.from_edges(6, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)])
+    assert brute_partitionable(g, 1, 2)
+    assert find_partition(g, 1, 2) is not None
 
 
 def test_partitionable_monotone():

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_embed import complement
 from test_graphs import brute_partitionable
 
 from edcycles import spectrum
 from edcycles.curves import gamma_closed_with_branch
 from edcycles.errors import ParameterDomainError
 from edcycles.gfunction import g_krs
-from edcycles.graphs import Graph, PowerCycleParams, partitionable
+from edcycles.graphs import Graph, PowerCycleParams, find_partition
 from edcycles.spectrum import (
     clique_spectrum,
     gamma,
@@ -76,21 +77,45 @@ def test_bounded_spectra_match_brute_force():
         assert clique_spectrum(H).pairs == failing, H.edges
 
 
-@pytest.mark.parametrize("h, t", [(13, 2), (21, 3), (24, 3)])
+@pytest.mark.parametrize(
+    "H",
+    [complete_graph(n) for n in range(1, 7)]
+    + [
+        complement(PowerCycleParams(h, t).graph())
+        for h, t in [(5, 1), (6, 1), (7, 1), (7, 2), (8, 1), (8, 2), (8, 3)]
+    ],
+)
+def test_dense_spectra_match_the_brute_force_staircase(H):
+    # row r's boundary b has an (r, b)-partition and no (r, b - 1)-partition,
+    # and the rows close with an empty one
+    spec = clique_spectrum(H)
+    rows = [sum(1 for r, _ in spec.pairs if r == k) for k in range(H.n + 2)]
+    close = rows.index(0)
+    assert not any(rows[close:])
+    for r, b in enumerate(rows[: close + 1]):
+        assert brute_partitionable(H, r, b), (H.edges, r, b)
+        assert b == 0 or not brute_partitionable(H, r, b - 1), (H.edges, r, b)
+
+
+# (h, t) -> partitions the staircase walk finds on C_h^t
+WALK_JUMPS = {(13, 2): 5, (21, 3): 6, (24, 3): 4}
+
+
+@pytest.mark.parametrize("h, t", WALK_JUMPS)
 def test_spectrum_walk_refutes_once_per_row(monkeypatch, h, t):
-    # the staircase walk steps s down from h to 0, one satisfiable call per
-    # step, and stops each of the chi nonempty rows with one refutation
+    # the staircase walk jumps s to the clique count of each partition it
+    # finds, and stops each of the chi nonempty rows with one refutation
     answers = []
 
     def counted(H, r, s):
-        answers.append(partitionable(H, r, s))
+        answers.append(find_partition(H, r, s))
         return answers[-1]
 
-    monkeypatch.setattr(spectrum, "partitionable", counted)
+    monkeypatch.setattr(spectrum, "find_partition", counted)
     params = PowerCycleParams(h, t)
     spec = power_cycle_spectrum(params)
-    assert answers.count(False) == len({r for r, _ in spec.pairs}) == params.chi
-    assert answers.count(True) == h
+    assert answers.count(None) == len({r for r, _ in spec.pairs}) == params.chi
+    assert len(answers) - answers.count(None) == WALK_JUMPS[h, t]
 
 
 def test_extreme_points_incomparable():
