@@ -7,6 +7,12 @@ membership.  clique_spectrum walks down that staircase once, as in
 saddleback search.  Each partition the oracle finds moves the walk straight
 to its own clique count, each row ends with one refutation, and the walk
 stops at its first empty row, so every spectrum it returns is complete.
+Most of the oracle's work is those refutations.  It cuts them short with a
+capacity bound: at each node, the independence and clique numbers of the
+parts' allowed sets must add up to the vertices still to place, the
+counting rule behind ell(a) applied inside the search.  The bound prunes
+only subtrees without a partition, so the oracle finds the same first
+partition with or without it, and the walk makes the same calls.
 The curve gamma(p) takes the minimum of the all-gray-CRG closed form over
 the spectrum; only the extreme points can attain it.
 

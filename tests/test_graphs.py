@@ -15,6 +15,7 @@ from edcycles.graphs import (
     find_partition,
     graph_from_json,
     graph_to_json,
+    largest_set,
     partitionable,
     power_cycle,
 )
@@ -131,7 +132,9 @@ def test_chromatic_matches_brute_force_on_random_graphs():
 
 
 def test_chromatic_rejects_oversize():
-    with pytest.raises(SizeExceededError):
+    with pytest.raises(
+        SizeExceededError, match="find_partition: 30 vertices exceeds exact-search bound 24"
+    ):
         chromatic_number(power_cycle(30, 1))
 
 
@@ -210,17 +213,53 @@ def test_partitionable_agrees_with_brute_force_on_recurring_frontiers():
 
 def test_find_partition_counts_match_brute_force():
     # None exactly when no partition exists; otherwise the counts of the
-    # found partition fit the bounds and admit a partition themselves
+    # found partition fit the bounds and admit a partition themselves.  On
+    # the cycle powers the capacity bound is tight: C_9^2 has independence
+    # and clique number 3, so (1, 2) parts hold exactly 9 vertices at the
+    # root and still admit no partition.
     rng = random.Random(17)
-    for trial in range(60):
-        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
-        r, s = rng.randint(0, 4), rng.randint(0, 4)
+    instances = [
+        (random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7))),
+         rng.randint(0, 4), rng.randint(0, 4))
+        for trial in range(60)
+    ]
+    instances += [
+        (power_cycle(h, t), r, s)
+        for h in range(3, 10)
+        for t in range(1, 4)
+        for r in range(4)
+        for s in range(4 - r)
+    ]
+    for g, r, s in instances:
         found = find_partition(g, r, s)
         assert (found is None) == (not brute_partitionable(g, r, s)), (g.edges, r, s)
         if found is not None:
             a, b = found
             assert a <= r and b <= s, (g.edges, r, s, found)
             assert brute_partitionable(g, a, b), (g.edges, r, s, found)
+
+
+def test_largest_set_is_the_independence_and_clique_number():
+    # one memo per graph and kind, shared across masks as within one call
+    rng = random.Random(29)
+    for trial in range(40):
+        n = rng.randint(0, 10)
+        g = random_graph(rng, n, rng.random())
+        adj = g.adjacency_masks
+        keeps = (
+            ([~row for row in adj], g.is_independent_set),
+            (adj, g.is_clique),
+        )
+        for keep, fits in keeps:
+            memo = {0: 0}
+            for mask in [rng.getrandbits(n) for _ in range(8)] + [(1 << n) - 1]:
+                members = [v for v in range(n) if mask >> v & 1]
+                brute = max(
+                    k
+                    for k in range(len(members) + 1)
+                    if any(fits(c) for c in itertools.combinations(members, k))
+                )
+                assert largest_set(mask, keep, memo) == brute, (g.edges, mask)
 
 
 def test_find_partition_tells_part_kinds_apart():
