@@ -391,9 +391,14 @@ def find_embedding(
     if timeout is not None and not timeout > 0:  # also refuses nan
         raise ParameterDomainError(f"timeout={timeout} must be None or positive")
     if H.n > EMBED_GRAPH_BOUND:
-        raise SizeExceededError(f"graph has {H.n} > {EMBED_GRAPH_BOUND} vertices")
+        raise SizeExceededError(
+            f"find_embedding: graph has {H.n} vertices, "
+            f"over EMBED_GRAPH_BOUND = {EMBED_GRAPH_BOUND}"
+        )
     if K.n > EMBED_CRG_BOUND:
-        raise SizeExceededError(f"CRG has {K.n} > {EMBED_CRG_BOUND} vertices")
+        raise SizeExceededError(
+            f"find_embedding: CRG has {K.n} vertices, over EMBED_CRG_BOUND = {EMBED_CRG_BOUND}"
+        )
     if H.n == 0:
         return ()
 

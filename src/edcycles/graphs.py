@@ -7,17 +7,19 @@ instead of approximating, because downstream verification treats its
 answers as ground truth.
 
 The search keeps each part as its allowed set, the vertices it may still
-take.  It fails a node at once when an unplaced vertex lies in no allowed
-set (a forward check), or when the parts cannot hold the unplaced vertices
-(a capacity bound): a part takes at most the independence number, or the
-clique number, of its allowed set.  Within one call it remembers the failed
-multisets of allowed sets (nogood learning); find_partition says why all
-three are exact.  On a cycle power, whose edges join only vertices within
-cyclic distance t, few distinct states recur, and the cache cuts the
-spectra's unsatisfiable proofs by an order of magnitude.  The capacity
-bound is the counting rule behind ell(a), that an independent set of C_h^t
-has at most floor(h / (t+1)) vertices and a clique at most t+1, applied at
-every node; it cuts the spectra's search time by more than half again.
+take, and nothing else: a part is empty while its allowed set is full, so
+that set alone says which part a vertex may open next.  Two prunes read
+that state.  A node fails at once when the parts cannot hold the unplaced
+vertices (a capacity bound): a part takes at most the independence number,
+or the clique number, of its allowed set.  Within one call the search
+remembers the failed multisets of allowed sets (nogood learning);
+find_partition says why both are exact.  On a cycle power, whose edges
+join only vertices within cyclic distance t, few distinct states recur, and
+the cache cuts the spectra's unsatisfiable proofs by an order of magnitude.
+The capacity bound is the counting rule behind ell(a), that an independent
+set of C_h^t has at most floor(h / (t+1)) vertices and a clique at most
+t+1, applied at every node; it cuts the spectra's search time by more than
+half again.
 """
 
 from __future__ import annotations
@@ -209,45 +211,48 @@ def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
     search finds, or None when there is none.
 
     Backtracking over vertices in index order.  Each part is kept as its
-    allowed set, the bitmask of the vertices it may still take; every part
-    starts full.  An independent part that takes v ANDs in the complement of
-    v's neighbourhood, a clique part ANDs in the neighbourhood, and a part
-    takes v iff bit v of its allowed set is set.  Independent parts are
-    tried first.  Parts of the same kind are interchangeable, so a vertex
-    may open only the first still-empty part of each kind, and the search
-    keeps the count of parts opened of each kind.  The rule stays complete
-    from any node, not only from the root: the empty parts of a kind all
-    have the full allowed set, so in any completion they can be relabelled
-    to open in index order.  An empty graph is placed at once, and with no
-    parts at all vertex 0 has nowhere to go.
+    allowed set, the bitmask of the vertices it may still take, and the
+    allowed sets are the search's whole state; every part starts full.  A
+    part takes v iff bit v of its allowed set is set.  An independent part
+    that takes v ANDs in the complement of v's neighbourhood and of v
+    itself, a clique part ANDs in the neighbourhood, so a part's allowed set
+    is full exactly while the part is empty.  Independent parts are tried
+    first.  Parts of the same kind are interchangeable, so v tries the parts
+    of each kind in index order and stops after the first empty one: parts
+    open in index order, and a leaf returns the numbers of parts of each
+    kind whose allowed set is no longer full.  The rule stays complete from
+    any node, not only from the root: the empty parts of a kind all have the
+    full allowed set, so in any completion they can be relabelled to open in
+    index order.  An empty graph is placed at once, and with no parts at all
+    vertex 0 has nowhere to go.
 
     Once vertices 0..v-1 are placed, whether a part can take a set S of
     later vertices depends only on its allowed set: S must lie in it and be
     independent, or a clique, by its kind.  So whether a node can be
     completed is a function of the multiset of its parts' kinds and allowed
-    sets above v.  Three checks read that state.  The forward check fails a
-    node when some vertex >= v lies in no allowed set: allowed sets only
-    shrink, so that vertex has nowhere to go.  The capacity bound, run next,
+    sets above v, and two prunes read that state alone.  The capacity bound
     gives each independent part the independence number of its allowed set
     above v and each clique part the clique number (largest_set, memoised
     per call), counting the parts not yet opened with the full set, and
     fails the node when the capacities sum to less than n - v.  It is sound:
     in any completion each vertex >= v joins one part, and a part's new
     members lie in its allowed set above v and are independent, or a
-    clique, so no part takes more than its capacity.  It prunes only
-    subtrees without a completion, so the first partition found, and its
-    counts, are the same with or without it.  Failed states are cached per
-    call, one set per depth.  The key at depth v is the allowed sets shifted
-    right by v, each clique part's marked by bit n - v, sorted and packed
-    into one int in (n - v + 1)-bit fields; r and s are fixed within the
-    call, so the int determines the multiset.  A node whose key already
-    failed at its depth is refused without a search.  That is sound because
-    the key fixes the whole subtree below the node, so no answer depends on
-    the cache, only the work does.  The capacity bound reads nothing but the
+    clique, so no part takes more than its capacity.  A vertex >= v that
+    lies in no allowed set needs no check of its own: allowed sets only
+    shrink, so the search fails at that vertex's depth at the latest.
+    Failed states are cached per call, one set per
+    depth.  The key at depth v is the allowed sets shifted right by v, each
+    clique part's marked by bit n - v, sorted and packed into one int in
+    (n - v + 1)-bit fields; r and s are fixed within the call, so the int
+    determines the multiset.  A node whose key already failed at its depth
+    is refused without a search.  That is sound because the key fixes the
+    whole subtree below the node.  The capacity bound reads nothing but the
     key's allowed sets, so it refuses a key at every node or at none, and
-    the cache stays exact beside it.  Keyed by allowed sets, the cache joins
-    states with different members but the same reach: on C_h^3, a clique
-    part {v-3, v-2} and a clique part {v-3} may both take v alone.
+    the cache stays exact beside it.  Both prunes cut only subtrees without
+    a completion, so the first partition found, and its counts, are the
+    plain search's; only the work differs.  Keyed by allowed sets, the cache
+    joins states with different members but the same reach: on C_h^3, a
+    clique part {v-3, v-2} and a clique part {v-3} may both take v alone.
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
@@ -256,32 +261,23 @@ def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
             f"find_partition: {g.n} vertices exceeds exact-search bound {EXACT_SEARCH_BOUND}"
         )
     n = g.n
-    r, s = min(r, n), min(s, n)  # parts beyond n stay empty
-    adj = g.adjacency_masks
     full = (1 << n) - 1
-    ind = [full] * r
-    clq = [full] * s
+    adj = g.adjacency_masks
+    ind = [full] * min(r, n)  # parts beyond n stay empty
+    clq = [full] * min(s, n)
+    non_adj = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
+    kinds = ((ind, non_adj, {0: 0}), (clq, adj, {0: 0}))
     failed = [set() for _ in range(n)]
-    non_adj = [full & ~row for row in adj]
-    alphas, omegas = {0: 0}, {0: 0}
 
-    def place(v: int, a: int, b: int) -> tuple[int, int] | None:
-        """Place v.. given a open independent parts and b open cliques."""
+    def place(v: int) -> tuple[int, int] | None:
+        """Place v.. into the parts, or None when their allowed sets cannot."""
         if v == n:
-            return a, b
-        union = 0
-        for m in ind:
-            union |= m
-        for m in clq:
-            union |= m
-        if union >> v != full >> v:  # forward check
-            return None
+            return sum(m != full for m in ind), sum(m != full for m in clq)
         high = full >> v << v
         need = n - v  # capacity bound
-        for m in ind:
-            need -= largest_set(m & high, non_adj, alphas)
-        for m in clq:
-            need -= largest_set(m & high, adj, omegas)
+        for parts, take, memo in kinds:
+            for m in parts:
+                need -= largest_set(m & high, take, memo)
         if need > 0:
             return None
         width = n - v + 1
@@ -296,24 +292,17 @@ def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
         if key in seen:
             return None
         bit = 1 << v
-        row = adj[v]
-        for i in range(min(a + 1, r)):
-            m = ind[i]
-            if m & bit:
-                ind[i] = m & ~row
-                found = place(v + 1, max(a, i + 1), b)
-                ind[i] = m
-                if found is not None:
-                    return found
-        for i in range(min(b + 1, s)):
-            m = clq[i]
-            if m & bit:
-                clq[i] = m & row
-                found = place(v + 1, a, max(b, i + 1))
-                clq[i] = m
-                if found is not None:
-                    return found
+        for parts, take, _ in kinds:
+            for i, m in enumerate(parts):
+                if m & bit:
+                    parts[i] = m & take[v]
+                    found = place(v + 1)
+                    parts[i] = m
+                    if found is not None:
+                        return found
+                if m == full:  # the first empty part of its kind
+                    break
         seen.add(key)
         return None
 
-    return place(0, 0, 0)
+    return place(0)

@@ -58,6 +58,7 @@ def clique_spectrum(H: Graph) -> CliqueSpectrum:
     first refutation fixes the row's boundary at s.  Each row costs one
     refutation at most, the one that stops its walk.  The first empty row
     ends the walk: no later row can hold a pair, so the spectrum is whole.
+    Row r's last pair (r, b_r - 1) is extreme exactly when b_(r+1) < b_r.
     """
     boundaries = []
     s = H.n
@@ -74,11 +75,7 @@ def clique_spectrum(H: Graph) -> CliqueSpectrum:
         (r, s) for r, boundary in enumerate(boundaries) for s in range(boundary)
     )
     extreme = tuple(
-        sorted(
-            (r, s)
-            for (r, s) in pairs
-            if (r + 1, s) not in pairs and (r, s + 1) not in pairs
-        )
+        (r, b - 1) for r, (b, below) in enumerate(zip(boundaries, boundaries[1:])) if below < b
     )
     return CliqueSpectrum(pairs, extreme)
 

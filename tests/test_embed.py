@@ -504,9 +504,11 @@ def test_single_vertex_images():
 
 
 def test_size_bounds():
-    with pytest.raises(SizeExceededError):
+    message = "find_embedding: graph has 41 vertices, over EMBED_GRAPH_BOUND = 40"
+    with pytest.raises(SizeExceededError, match=message):
         find_embedding(power_cycle(41, 1), k_rs(1, 1))
-    with pytest.raises(SizeExceededError):
+    message = "find_embedding: CRG has 16 vertices, over EMBED_CRG_BOUND = 14"
+    with pytest.raises(SizeExceededError, match=message):
         find_embedding(power_cycle(5, 1), k_rs(8, 8))
 
 

@@ -239,6 +239,53 @@ def test_find_partition_counts_match_brute_force():
             assert brute_partitionable(g, a, b), (g.edges, r, s, found)
 
 
+def reference_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
+    """Plain backtracking in find_partition's part order, with no cache, no
+    capacity bound and no forward check: vertex v tries the independent
+    parts, then the cliques, each kind in index order up to its first empty
+    part, and the leaf counts the nonempty parts of each kind."""
+    kinds = (
+        ([set() for _ in range(r)], g.is_independent_set),
+        ([set() for _ in range(s)], g.is_clique),
+    )
+
+    def place(v: int) -> tuple[int, int] | None:
+        if v == g.n:
+            return tuple(sum(1 for part in parts if part) for parts, _ in kinds)
+        for parts, fits in kinds:
+            for part in parts:
+                if fits(part | {v}):
+                    part.add(v)
+                    found = place(v + 1)
+                    part.remove(v)
+                    if found is not None:
+                        return found
+                if not part:
+                    break
+        return None
+
+    return place(0)
+
+
+def test_find_partition_is_the_unpruned_search():
+    # every prune and the failed-state cache change only the work: the
+    # first partition found, and so its part counts, are the plain search's
+    rng = random.Random(31)
+    instances = [
+        (random_graph(rng, rng.randint(0, 9), rng.random()), rng.randint(0, 4), rng.randint(0, 4))
+        for trial in range(150)
+    ]
+    instances += [
+        (power_cycle(h, t), r, s)
+        for h in range(3, 13)
+        for t in range(1, 4)
+        for r in range(5)
+        for s in range(5 - r)
+    ]
+    for g, r, s in instances:
+        assert find_partition(g, r, s) == reference_partition(g, r, s), (g.edges, r, s)
+
+
 def test_largest_set_is_the_independence_and_clique_number():
     # one memo per graph and kind, shared across masks as within one call
     rng = random.Random(29)
