@@ -59,11 +59,16 @@ def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Fracti
     return [(label, g_krs(a, c, p)) for label, a, c in branches(params)]
 
 
+@cache
+def _branch_pairs(params: PowerCycleParams) -> tuple[tuple[int, int], ...]:
+    """The (a, c) pair of every branch, in the order of branches(params)."""
+    return tuple((a, c) for _, a, c in branches(params))
+
+
 def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Fraction, str]:
     """The least branch value at p and its label; the first branch wins a tie."""
-    table = branches(params)
-    value, index = g_krs_min([(a, c) for _, a, c in table], p)
-    return value, table[index][0]
+    value, index = g_krs_min(_branch_pairs(params), p)
+    return value, branches(params)[index][0]
 
 
 def gamma_closed(params: PowerCycleParams, p: Number) -> Fraction:
@@ -200,45 +205,69 @@ class MaxPoint:
         return {"p_star": self.p_star, "d_star": self.d_star, "method": self.method}
 
 
-def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
-    """Maximum of a concave curve on [0, 1] by Fibonacci search.
-
-    A three-point midpoint probe on CONCAVITY_SAMPLES points runs first;
-    concavity failures raise rather than return a point the search cannot
-    certify.  Every probe is i / F for one Fibonacci number F >= 2 /
-    MAX_POINT_TOL, so the bracket [lo, lo + F_k] / F keeps exact rational
-    ends and value comparisons near the flat top never fall into float
-    rounding noise.  Its inner probes sit at lo + F_(k-2) and lo + F_(k-1),
-    and each step keeps one of them as a probe of the next bracket, so a
-    step costs one curve evaluation.  A tie keeps [lo, x2], which holds both
-    probes.  The search stops once the bracket is at most MAX_POINT_TOL
-    wide.  It is the generic cross-check for curve_peak's exact peak of
-    gamma.
-    """
-    grid = uniform_p_grid(CONCAVITY_SAMPLES)
-    values = [curve(p) for p in grid]
-    for i in range(CONCAVITY_SAMPLES - 2):
-        if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
-            raise NonConcavityError(f"midpoint concavity fails near p={float(grid[i + 1])}")
+def _fibonacci_table() -> tuple[list[int], int]:
+    """Fibonacci numbers up to the first F >= 2 / MAX_POINT_TOL, and the
+    last index k whose F_k / F is at most MAX_POINT_TOL."""
     fib = [0, 1]
     while fib[-1] < 2 / MAX_POINT_TOL:
         fib.append(fib[-1] + fib[-2])
-    scale = fib[-1]
-    k = len(fib) - 1
+    stop = max(k for k, x in enumerate(fib) if not Fraction(x, fib[-1]) > MAX_POINT_TOL)
+    return fib, stop
+
+
+_CONCAVITY_GRID = uniform_p_grid(CONCAVITY_SAMPLES)
+_FIB, _FIB_STOP = _fibonacci_table()
+
+
+def max_point(curve: Callable[[Number], Number]) -> MaxPoint:
+    """Maximum of a concave curve on [0, 1] by Fibonacci search.
+
+    Every value the search compares or returns goes through to_fraction, so
+    a curve that gives NaN, an infinity or a non-number anywhere the search
+    looks raises ParameterDomainError instead of returning a point it cannot
+    certify; a float value is compared by its exact binary value.
+
+    A three-point midpoint probe on CONCAVITY_SAMPLES points runs first;
+    concavity failures raise rather than return a point the search cannot
+    certify.  The probe at v1 = c/d between v0 = a/b and v2 = e/f fails when
+    v1 < (v0 + v2)/2 - 1/10**9, and is tested on integers as that rule times
+    2 b d f 10**9 > 0: 2 c b f 10**9 < (a f + e b) d 10**9 - 2 b d f.  Every
+    probe is i / F for one Fibonacci number F >= 2 / MAX_POINT_TOL, so the
+    bracket [lo, lo + F_k] / F keeps exact rational ends and value
+    comparisons near the flat top never fall into float rounding noise.  Its
+    inner probes sit at lo + F_(k-2) and lo + F_(k-1), and each step keeps
+    one of them as a probe of the next bracket, so a step costs one curve
+    evaluation.  A tie keeps [lo, x2], which holds both probes.  The search
+    stops once the bracket is at most MAX_POINT_TOL wide, that is, once k
+    reaches the last index whose F_k / F is at most MAX_POINT_TOL.  The
+    grid, the Fibonacci table and that stop index depend on no curve and are
+    built once, at import.  It is the generic cross-check for curve_peak's
+    exact peak of gamma.
+    """
+    values = [to_fraction(curve(p)) for p in _CONCAVITY_GRID]
+    parts = [(v.numerator, v.denominator) for v in values]
+    for i, ((a, b), (c, d), (e, f)) in enumerate(zip(parts, parts[1:], parts[2:])):
+        if 2 * c * b * f * 10**9 < (a * f + e * b) * d * 10**9 - 2 * b * d * f:
+            raise NonConcavityError(
+                f"midpoint concavity fails near p={float(_CONCAVITY_GRID[i + 1])}"
+            )
+    fib = _FIB
+    scale, k = fib[-1], len(fib) - 1
     lo, x1, x2 = 0, fib[k - 2], fib[k - 1]
-    left, right = curve(Fraction(x1, scale)), curve(Fraction(x2, scale))
-    while Fraction(fib[k], scale) > MAX_POINT_TOL:
+    left = to_fraction(curve(Fraction(x1, scale)))
+    right = to_fraction(curve(Fraction(x2, scale)))
+    while k > _FIB_STOP:
         k -= 1
         if left < right:
             lo, x1, left = x1, x2, right
             x2 = lo + fib[k - 1]
-            right = curve(Fraction(x2, scale))
+            right = to_fraction(curve(Fraction(x2, scale)))
         else:
             x2, right = x1, left
             x1 = lo + fib[k - 2]
-            left = curve(Fraction(x1, scale))
+            left = to_fraction(curve(Fraction(x1, scale)))
     p_star = Fraction(2 * lo + fib[k], 2 * scale)
-    return MaxPoint(float(p_star), float(curve(p_star)), "fibonacci-search")
+    return MaxPoint(float(p_star), float(to_fraction(curve(p_star))), "fibonacci-search")
 
 
 def _vertex_below(a: int, c: int, q: Fraction) -> bool:

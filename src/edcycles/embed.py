@@ -368,10 +368,9 @@ def find_embedding(
     builds the witness, and the root-orbit mask applies at depth 0 alone,
     where there is one node.  So a node whose (allowed, *domains) already
     failed at its depth fails again: refusing it changes the work, never
-    the answer or the witness.  The key packs them into one int, allowed
-    followed by K.n bits per domain; the depth fixes how many domains there
-    are, so the int determines them.  A node forms its key just before its
-    first child, so a node with no child is neither keyed nor recorded.
+    the answer or the witness.  The key is that tuple itself.  A node forms
+    its key just before its first child, so a node with no child is neither
+    keyed nor recorded.
 
     Root-orbit rule.  Depth 0 may take only the least vertex of each orbit
     of Aut(K), from _automorphism_orbits; no deeper position is restricted,
@@ -447,9 +446,7 @@ def find_embedding(
             if len(new_domains) < len(steps):
                 continue
             if key is None:
-                key = allowed
-                for domain in domains:
-                    key = key << K.n | domain
+                key = (allowed, *domains)
                 if key in seen:
                     refused += 1
                     return False

@@ -240,19 +240,19 @@ def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
     clique, so no part takes more than its capacity.  A vertex >= v that
     lies in no allowed set needs no check of its own: allowed sets only
     shrink, so the search fails at that vertex's depth at the latest.
-    Failed states are cached per call, one set per
-    depth.  The key at depth v is the allowed sets shifted right by v, each
-    clique part's marked by bit n - v, sorted and packed into one int in
-    (n - v + 1)-bit fields; r and s are fixed within the call, so the int
-    determines the multiset.  A node whose key already failed at its depth
-    is refused without a search.  That is sound because the key fixes the
-    whole subtree below the node.  The capacity bound reads nothing but the
-    key's allowed sets, so it refuses a key at every node or at none, and
-    the cache stays exact beside it.  Both prunes cut only subtrees without
-    a completion, so the first partition found, and its counts, are the
-    plain search's; only the work differs.  Keyed by allowed sets, the cache
-    joins states with different members but the same reach: on C_h^3, a
-    clique part {v-3, v-2} and a clique part {v-3} may both take v alone.
+    Failed states are cached per call, one set per depth.  The key at depth
+    v is the sorted tuple of the allowed sets shifted right by v, each
+    clique part's marked by bit n - v; r and s are fixed within the call,
+    so the tuple determines the multiset.  A node whose key already failed
+    at its depth is refused without a search.  That is sound because the
+    key fixes the whole subtree below the node.  The capacity bound reads
+    nothing but the key's allowed sets, so it refuses a key at every node
+    or at none, and the cache stays exact beside it.  Both prunes cut only
+    subtrees without a completion, so the first partition found, and its
+    counts, are the plain search's; only the work differs.  Keyed by
+    allowed sets, the cache joins states with different members but the
+    same reach: on C_h^3, a clique part {v-3, v-2} and a clique part {v-3}
+    may both take v alone.
     """
     if r < 0 or s < 0:
         raise ParameterDomainError(f"part counts must be nonnegative, got r={r}, s={s}")
@@ -280,14 +280,11 @@ def find_partition(g: Graph, r: int, s: int) -> tuple[int, int] | None:
                 need -= largest_set(m & high, take, memo)
         if need > 0:
             return None
-        width = n - v + 1
         marker = 1 << (n - v)
         fields = [m >> v for m in ind]
         fields += [m >> v | marker for m in clq]
         fields.sort()
-        key = 0
-        for x in fields:
-            key = key << width | x
+        key = tuple(fields)
         seen = failed[v]
         if key in seen:
             return None

@@ -9,6 +9,7 @@ import pytest
 from edcycles.curves import (
     CONCAVITY_SAMPLES,
     MAX_POINT_TOL,
+    MaxPoint,
     black_part_g_bound,
     branch_crossings,
     branches,
@@ -21,6 +22,7 @@ from edcycles.curves import (
     gamma_closed,
     gamma_closed_with_branch,
     max_point,
+    uniform_p_grid,
 )
 from edcycles.errors import NonConcavityError, ParameterDomainError
 from edcycles.gfunction import g_krs
@@ -163,7 +165,7 @@ def test_max_point_takes_one_probe_a_step():
 
     point = max_point(tent)
     search = probes[CONCAVITY_SAMPLES:-1]  # the last call evaluates p_star
-    assert len(search) <= 60
+    assert len(search) == 60
     assert all(isinstance(q, Fraction) for q in search)
     assert abs(Fraction(point.p_star) - Fraction(1, 7)) <= MAX_POINT_TOL / 2
     assert point.method == "fibonacci-search"
@@ -172,6 +174,104 @@ def test_max_point_takes_one_probe_a_step():
 def test_max_point_rejects_convex():
     with pytest.raises(NonConcavityError):
         max_point(lambda p: (p - 0.5) ** 2)
+
+
+def _reference_max_point(curve):
+    """max_point in plain Fraction arithmetic: the grid, the Fibonacci table
+    and the stop test rebuilt per call, the midpoint test on Fractions."""
+    grid = uniform_p_grid(CONCAVITY_SAMPLES)
+    values = [curve(p) for p in grid]
+    for i in range(CONCAVITY_SAMPLES - 2):
+        if values[i + 1] < (values[i] + values[i + 2]) / 2 - Fraction(1, 10**9):
+            raise NonConcavityError(f"midpoint concavity fails near p={float(grid[i + 1])}")
+    fib = [0, 1]
+    while fib[-1] < 2 / MAX_POINT_TOL:
+        fib.append(fib[-1] + fib[-2])
+    scale = fib[-1]
+    k = len(fib) - 1
+    lo, x1, x2 = 0, fib[k - 2], fib[k - 1]
+    left, right = curve(Fraction(x1, scale)), curve(Fraction(x2, scale))
+    while Fraction(fib[k], scale) > MAX_POINT_TOL:
+        k -= 1
+        if left < right:
+            lo, x1, left = x1, x2, right
+            x2 = lo + fib[k - 1]
+            right = curve(Fraction(x2, scale))
+        else:
+            x2, right = x1, left
+            x1 = lo + fib[k - 2]
+            left = curve(Fraction(x1, scale))
+    p_star = Fraction(2 * lo + fib[k], 2 * scale)
+    return MaxPoint(float(p_star), float(curve(p_star)), "fibonacci-search")
+
+
+def _probed(search, curve):
+    """search(curve) and the list of points it evaluated curve at."""
+    probes = []
+
+    def recorded(p):
+        probes.append(p)
+        return curve(p)
+
+    return search(recorded), probes
+
+
+def _spectra_range():
+    # every (h, t) of the benchmark's spectra workload
+    for t, h_max in ((1, 24), (2, 24), (3, 21)):
+        for h in range(max(t * (t + 1), 2 * t + 2, 4), h_max + 1):
+            yield h, t
+
+
+def test_max_point_matches_the_fraction_reference():
+    curves = [(("tent", 7), lambda p: min(7 * p, Fraction(7, 6) * (1 - p)))]
+    for h, t in _spectra_range():
+        params = PowerCycleParams(h, t)
+        curves.append(((h, t), lambda p, params=params: gamma_closed(params, p)))
+    for name, curve in curves:
+        point, probes = _probed(max_point, curve)
+        reference, reference_probes = _probed(_reference_max_point, curve)
+        assert probes == reference_probes, name
+        assert point == reference, name
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda p: min(p, 1 - p) if p != 1 else float("nan"),
+        lambda p: float("nan"),
+        lambda p: float("inf"),
+    ],
+    ids=["nan-at-1", "nan", "inf"],
+)
+def test_max_point_refuses_values_it_cannot_compare(curve):
+    with pytest.raises(ParameterDomainError):
+        max_point(curve)
+
+
+def _dipped_line(defect):
+    """p, lowered by defect at p = 1/2: a midpoint defect of exactly defect
+    there, and none elsewhere on the concavity grid."""
+    return lambda p: p - defect if p == Fraction(1, 2) else p
+
+
+def test_max_point_concavity_threshold_is_strict():
+    at_threshold = _dipped_line(Fraction(1, 10**9))
+    assert max_point(at_threshold) == _reference_max_point(at_threshold)
+    past = _dipped_line(Fraction(1, 10**9) + Fraction(1, 10**15))
+    with pytest.raises(NonConcavityError, match="p=0.5"):
+        max_point(past)
+    with pytest.raises(NonConcavityError, match="p=0.5"):
+        _reference_max_point(past)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [lambda p: float(p) * (1 - float(p)), lambda p: math.sqrt(p) * (1 - float(p))],
+    ids=["parabola", "root"],
+)
+def test_max_point_float_curve_matches_the_reference(curve):
+    assert max_point(curve) == _reference_max_point(curve)
 
 
 def test_cycle_peak_h7_is_irrational_point():
