@@ -28,7 +28,14 @@ CORPUS_SIZE = 200
 
 
 def _pair_index(n: int, i: int, j: int) -> int:
-    """Index of unordered pair (i, j), i < j, in row-major upper-triangular order."""
+    """Index of the unordered pair {i, j} of distinct vertices 0..n-1 in
+    row-major upper-triangular order, the order of combinations(range(n), 2)."""
+    if not (0 <= i < n and 0 <= j < n):
+        raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{n - 1}")
+    if i == j:
+        raise ParameterDomainError("no self-pairs in a CRG")
+    if i > j:
+        i, j = j, i
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
@@ -55,18 +62,11 @@ class Crg:
                 raise ParameterDomainError(f"bad edge color {c!r}")
 
     def edge_color(self, i: int, j: int) -> str:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{self.n - 1}")
-        if i == j:
-            raise ParameterDomainError("no self-pairs in a CRG")
-        if i > j:
-            i, j = j, i
         return self.edge_colors[_pair_index(self.n, i, j)]
 
     def pairs(self) -> Iterable[tuple[int, int, str]]:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield i, j, self.edge_colors[_pair_index(self.n, i, j)]
+        for (i, j), color in zip(combinations(range(self.n), 2), self.edge_colors):
+            yield i, j, color
 
 
 def crg_from_pairs(
@@ -80,15 +80,9 @@ def crg_from_pairs(
     n = len(vertex_colors)
     edge_colors = [None] * (n * (n - 1) // 2)
     for i, j, color in colored_pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParameterDomainError(f"pair ({i},{j}) outside vertices 0..{n - 1}")
-        if i == j:
-            raise ParameterDomainError("no self-pairs in a CRG")
-        if i > j:
-            i, j = j, i
         k = _pair_index(n, i, j)
         if edge_colors[k] is not None:
-            raise ParameterDomainError(f"pair ({i},{j}) given twice")
+            raise ParameterDomainError(f"pair ({min(i, j)},{max(i, j)}) given twice")
         if color not in EDGE_COLORS:
             raise ParameterDomainError(f"bad edge color {color!r}")
         edge_colors[k] = color

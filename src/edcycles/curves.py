@@ -10,6 +10,8 @@ outside that range the value is reported as not covered, never guessed.
 gamma_closed and ed_closed are the only evaluators of the curve: the
 ordinary-cycle formula is their t = 1 case, and the three-term form is
 their large-h case, whose inequality the facts sweep in verify checks.
+Every evaluator reads the branch table params.branches, which the
+PowerCycleParams instance builds once.
 
 Every branch value comes from gfunction.g_krs, the g-function of the
 all-gray CRG K(a, c), and the least branch from gfunction.g_krs_min, so
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import nextafter, sqrt
 from typing import Callable, Sequence
 
@@ -39,36 +40,17 @@ def ed_h_min(t: int) -> int:
     return 2 * t * (t + 1) + 1
 
 
-@cache
-def branches(params: PowerCycleParams) -> tuple[tuple[str, int, int], ...]:
-    """Every branch of the closed-form curve as (label, a, c), in tie-breaking order.
-
-    Each branch has the form 1/(a/p + c/(1-p)), which is g_krs(a, c, p).
-    Branch "a=..." is the curve through the spectrum pair (a, ell(a)-1); the
-    "chromatic" branch through (t+1, 0) exists only when t+1 does not divide
-    h.  The order matches the lexicographic order of those pairs.  Cached,
-    since every evaluation of the curve reads the table.
-    """
-    params.require_gamma_range("closed-form gamma")
-    table = tuple((f"a={a}", a, params.ell(a) - 1) for a in range(params.t + 1))
-    return table if params.divisible else (*table, ("chromatic", params.t + 1, 0))
-
-
 def branch_values(params: PowerCycleParams, p: Number) -> list[tuple[str, Fraction]]:
     """Every branch of the closed-form curve at p, in tie-breaking order."""
-    return [(label, g_krs(a, c, p)) for label, a, c in branches(params)]
-
-
-@cache
-def _branch_pairs(params: PowerCycleParams) -> tuple[tuple[int, int], ...]:
-    """The (a, c) pair of every branch, in the order of branches(params)."""
-    return tuple((a, c) for _, a, c in branches(params))
+    labels, pairs = params.branches
+    return [(label, g_krs(a, c, p)) for label, (a, c) in zip(labels, pairs)]
 
 
 def gamma_closed_with_branch(params: PowerCycleParams, p: Number) -> tuple[Fraction, str]:
     """The least branch value at p and its label; the first branch wins a tie."""
-    value, index = g_krs_min(_branch_pairs(params), p)
-    return value, branches(params)[index][0]
+    labels, pairs = params.branches
+    value, index = g_krs_min(pairs, p)
+    return value, labels[index]
 
 
 def gamma_closed(params: PowerCycleParams, p: Number) -> Fraction:
@@ -118,12 +100,12 @@ def black_part_g_bound(white_count: int, params: PowerCycleParams, p: Number) ->
 
 def branch_crossings(params: PowerCycleParams) -> list[Fraction]:
     """Exact p values in (0, 1) where two branches of the curve meet."""
-    table = branches(params)
+    pairs = params.branches[1]
     return sorted(
         {
             Fraction(a2 - a1, (a2 - a1) + (c1 - c2))
-            for i, (_, a1, c1) in enumerate(table)
-            for _, a2, c2 in table[i + 1 :]
+            for i, (a1, c1) in enumerate(pairs)
+            for a2, c2 in pairs[i + 1 :]
             if c1 > c2
         }
     )
@@ -306,10 +288,10 @@ def curve_peak(params: PowerCycleParams) -> MaxPoint:
     rounded exact value; a vertex peak is evaluated exactly at the float
     p_star.
     """
-    shapes = {label: (a, c) for label, a, c in branches(params)}
+    pairs = params.branches[1]
     points = [Fraction(0), *branch_crossings(params), Fraction(1)]
     for lo, hi in zip(points, points[1:]):
-        a, c = shapes[gamma_closed_with_branch(params, (lo + hi) / 2)[1]]
+        a, c = pairs[g_krs_min(pairs, (lo + hi) / 2)[1]]
         if not _vertex_below(a, c, lo) and _vertex_below(a, c, hi):
             p_star = _rounded_vertex(a, c)
             break

@@ -113,6 +113,15 @@ class PowerCycleParams:
     with a independent sets, can cover the cycle power.  p0 = 1/ell(t) marks
     where the earliest linear piece of the gamma curve ends, and L = floor(h/t)
     caps the length of usable gray cycles.
+
+    branches is every branch of the closed-form curve gamma as (labels,
+    pairs), in tie-breaking order.  The branch through (a, c) is
+    1/(a/p + c/(1-p)), the g-function of the all-gray CRG K(a, c).  Branch
+    "a=..." is the curve through the spectrum pair (a, ell(a)-1); the
+    "chromatic" branch through (t+1, 0) exists only when t+1 does not divide
+    h.  The order matches the lexicographic order of those pairs.  Every
+    evaluation of the curve reads the table, so it, like p0, is built once
+    per instance.
     """
 
     h: int
@@ -133,9 +142,18 @@ class PowerCycleParams:
             raise ParameterDomainError(f"a={a} outside 0..{self.t}")
         return self.ells[a]
 
-    @property
+    @cached_property
     def p0(self) -> Fraction:
         return Fraction(1, self.ells[self.t])
+
+    @cached_property
+    def branches(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+        self.require_gamma_range("closed-form gamma")
+        labels = tuple(f"a={a}" for a in range(self.t + 1))
+        pairs = tuple((a, ell - 1) for a, ell in enumerate(self.ells))
+        if self.divisible:
+            return labels, pairs
+        return (*labels, "chromatic"), (*pairs, (self.t + 1, 0))
 
     @cached_property
     def chi(self) -> int:

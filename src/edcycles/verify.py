@@ -215,7 +215,7 @@ def facts_suite() -> dict:
 
 def predicted_extreme_points(params: PowerCycleParams) -> list[tuple[int, int]]:
     """Maximal pairs (a, c) of the closed-form branch table, in order."""
-    pairs = {(a, c) for _, a, c in curves.branches(params)}
+    pairs = set(params.branches[1])
     return sorted(
         (a, c)
         for (a, c) in pairs

@@ -197,13 +197,29 @@ def test_sub_crg_rejects_empty():
         sub_crg(k_rs(1, 1), [])
 
 
-@pytest.mark.parametrize("i,j", [(0, 3), (3, 0), (-1, 0), (0, -1), (2, 5)])
+@pytest.mark.parametrize("i,j", [(0, 3), (3, 0), (-1, 0), (0, -1), (2, 5), (5, 0)])
 def test_edge_color_refuses_an_index_outside_the_crg(i, j):
     # an unchecked index would fall on another pair's flat slot
     K = crg_from_pairs([WHITE, BLACK, BLACK], [(1, 2, BLACK), (0, 1, WHITE)])
     assert (K.edge_color(1, 2), K.edge_color(1, 0), K.edge_color(0, 2)) == (BLACK, WHITE, GRAY)
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match=rf"pair \({i},{j}\) outside vertices 0\.\.2"):
         K.edge_color(i, j)
+
+
+def test_edge_color_and_crg_from_pairs_refuse_a_self_pair():
+    with pytest.raises(ParameterDomainError, match="no self-pairs"):
+        crg_from_pairs((WHITE, BLACK, BLACK)).edge_color(1, 1)
+    with pytest.raises(ParameterDomainError, match="no self-pairs"):
+        crg_from_pairs((WHITE, BLACK, BLACK), [(1, 1, WHITE)])
+
+
+def test_pairs_walk_the_edge_colors_in_combinations_order():
+    rng = random.Random(29)
+    for n in range(1, 10):
+        for _ in range(3):
+            K = random_crg(rng, n)
+            expected = [(i, j, K.edge_color(i, j)) for i, j in itertools.combinations(range(n), 2)]
+            assert list(K.pairs()) == expected
 
 
 def test_crg_json_roundtrip():
@@ -215,10 +231,9 @@ def test_crg_json_roundtrip():
 
 
 def test_crg_from_pairs_rejects_out_of_range_index():
-    with pytest.raises(ParameterDomainError):
-        crg_from_pairs((WHITE, BLACK, BLACK), [(0, 3, WHITE)])
-    with pytest.raises(ParameterDomainError):
-        crg_from_pairs((WHITE, BLACK, BLACK), [(-1, 1, WHITE)])
+    for i, j in [(0, 3), (-1, 1), (5, 0)]:
+        with pytest.raises(ParameterDomainError, match=rf"pair \({i},{j}\) outside vertices 0\.\.2"):
+            crg_from_pairs((WHITE, BLACK, BLACK), [(i, j, WHITE)])
 
 
 @pytest.mark.parametrize(
@@ -227,10 +242,13 @@ def test_crg_from_pairs_rejects_out_of_range_index():
         [(0, 1, BLACK), (1, 0, WHITE)],  # the same pair, reversed
         [(0, 1, WHITE), (0, 1, WHITE)],  # the same pair and color
         [(0, 2, GRAY), (1, 2, BLACK), (2, 0, BLACK)],
+        [(2, 0, BLACK), (0, 2, WHITE)],  # reversed, the larger index first
     ],
 )
 def test_crg_from_pairs_rejects_a_pair_given_twice(pairs):
-    with pytest.raises(ParameterDomainError, match="given twice"):
+    # the message names the pair in increasing order, whichever way it came
+    i, j = sorted(pairs[-1][:2])
+    with pytest.raises(ParameterDomainError, match=rf"pair \({i},{j}\) given twice"):
         crg_from_pairs((WHITE, BLACK, BLACK), pairs)
 
 

@@ -12,7 +12,6 @@ from edcycles.curves import (
     MaxPoint,
     black_part_g_bound,
     branch_crossings,
-    branches,
     curve_csv,
     curve_peak,
     curve_samples,
@@ -129,7 +128,7 @@ def test_three_term_matches_full_gamma():
     for t in (2, 3):
         for h in range(4 * t * t + 10 * t + 24, 121):
             params = PowerCycleParams(h, t)
-            rows = [(a, c) for _, a, c in branches(params) if a in (0, t, t + 1)]
+            rows = [(a, c) for a, c in params.branches[1] if a in (0, t, t + 1)]
             for p in grid:
                 assert gamma_closed(params, p) == min(g_krs(a, c, p) for a, c in rows)
 
@@ -334,7 +333,7 @@ def test_curve_peak_rounds_every_vertex_peak_correctly():
         for t in range(1, 6):
             for h in range(max(t * (t + 1), 4), 200):
                 params = PowerCycleParams(h, t)
-                shapes = [(a, c) for _, a, c in branches(params)]
+                shapes = params.branches[1]
                 point = curve_peak(params)
                 for a, c in shapes:
                     if a == 0 or c == 0:

@@ -361,6 +361,24 @@ def test_params_ell_monotone_and_chi_range():
             assert params.chi == (t + 1 if h % (t + 1) == 0 else t + 2)
 
 
+def test_params_branch_table_is_built_once_from_ell():
+    for t in range(1, 6):
+        for h in range(3, 90):
+            params = PowerCycleParams(h, t)
+            assert params.p0 is params.p0
+            if h < max(t * (t + 1), 4):
+                with pytest.raises(ParameterDomainError, match="closed-form gamma needs"):
+                    params.branches
+                continue
+            labels = [f"a={a}" for a in range(t + 1)]
+            pairs = [(a, params.ell(a) - 1) for a in range(t + 1)]
+            if h % (t + 1):
+                labels.append("chromatic")
+                pairs.append((t + 1, 0))
+            assert params.branches == (tuple(labels), tuple(pairs)), (h, t)
+            assert params.branches is params.branches
+
+
 def test_witness_matches_hand_construction():
     w = spectrum_partition_witness(PowerCycleParams(8, 1), 1)
     assert w == (1, 1, 0, 2, 2, 0, 3, 3)

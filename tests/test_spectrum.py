@@ -186,3 +186,9 @@ def test_gamma_refuses_empty_spectrum():
     assert spec.extreme_points == ()
     with pytest.raises(ParameterDomainError, match="empty spectrum"):
         gamma(spec, Fraction(1, 2))
+    # K_1's spectrum is {(0, 0)}: g_krs_min checks every pair it is given,
+    # so gamma refuses it with a typed error, not a ZeroDivisionError
+    spec = clique_spectrum(Graph(1, frozenset()))
+    assert spec.extreme_points == ((0, 0),)
+    with pytest.raises(ParameterDomainError, match=r"r \+ s >= 1"):
+        gamma(spec, Fraction(1, 2))
