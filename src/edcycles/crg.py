@@ -2,8 +2,10 @@
 
 A colored regularity graph (CRG) is a complete graph whose vertices are
 colored white or black and whose edges are colored white, gray, or black.
-Small and dense, so edge colors live in a flat upper-triangular tuple.
-All values are immutable; operations are pure.
+Small and dense, so edge colors are stored in a flat upper-triangular
+tuple; Crg.colors is the n x n matrix view that the rate matrix, sub-CRGs
+and the embedding search read.  All values are immutable; operations are
+pure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -67,6 +70,16 @@ class Crg:
     def pairs(self) -> Iterable[tuple[int, int, str]]:
         for (i, j), color in zip(combinations(range(self.n), 2), self.edge_colors):
             yield i, j, color
+
+    @cached_property
+    def colors(self) -> tuple[tuple[str, ...], ...]:
+        """The color matrix: colors[i][j] is the color of the pair ij, and
+        the diagonal colors[v][v] carries the color of the vertex v.  Built
+        once per instance."""
+        rows = [[c] * self.n for c in self.vertex_colors]
+        for i, j, color in self.pairs():
+            rows[i][j] = rows[j][i] = color
+        return tuple(map(tuple, rows))
 
 
 def crg_from_pairs(
@@ -128,21 +141,15 @@ def k_rs(r: int, s: int) -> Crg:
 def rate_matrix(K: Crg, p: Number) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The integer rate matrix b * M(p) of K at p = a/b in lowest terms, and b.
 
-    M(p) is the symmetric matrix of edit rates: p on a white edge, 1 - p on a
-    black edge and 0 on a gray one, with p on the diagonal of a white vertex
-    and 1 - p on that of a black one.  Scaled by b, its entries are the
-    integers a (white), b - a (black) and 0 (gray).  A float p is first
-    converted to its exact rational value.
+    M(p) is the symmetric matrix of edit rates read off K.colors: p where
+    the color is white, 1 - p where it is black and 0 where it is gray.
+    Scaled by b, its entries are the integers a (white), b - a (black) and
+    0 (gray).  A float p is first converted to its exact rational value.
     """
     p = to_probability(p)
     a, b = p.numerator, p.denominator
     by_color = {WHITE: a, BLACK: b - a, GRAY: 0}
-    rows = [[0] * K.n for _ in range(K.n)]
-    for v in range(K.n):
-        rows[v][v] = by_color[K.vertex_colors[v]]
-    for i, j, color in K.pairs():
-        rows[i][j] = rows[j][i] = by_color[color]
-    return tuple(tuple(row) for row in rows), b
+    return tuple(tuple(map(by_color.__getitem__, row)) for row in K.colors), b
 
 
 def component_sets(K: Crg) -> list[tuple[int, ...]]:
@@ -172,7 +179,7 @@ def sub_crg(K: Crg, vertices: Iterable[int]) -> Crg:
         if not 0 <= v < K.n:
             raise ParameterDomainError(f"vertex {v} out of range")
     colors = tuple(K.vertex_colors[v] for v in vs)
-    return Crg(len(vs), colors, tuple(K.edge_color(u, w) for u, w in combinations(vs, 2)))
+    return Crg(len(vs), colors, tuple(K.colors[u][w] for u, w in combinations(vs, 2)))
 
 
 def crg_to_json(K: Crg) -> dict:

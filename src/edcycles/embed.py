@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 
-from .crg import BLACK, GRAY, WHITE, Crg, k_a_g, k_rs
+from .crg import BLACK, WHITE, Crg, k_a_g, k_rs
 from .errors import EmbedTimeoutError, ParameterDomainError, SizeExceededError
 from .graphs import Graph, PowerCycleParams, gray_window_h_min
 
@@ -84,46 +84,31 @@ def verify_embedding(H: Graph, K: Crg, phi) -> bool:
 
 
 def _feasibility_masks(K: Crg) -> tuple[list[int], list[int]]:
-    """For each image u: bitmask of images w compatible with an H-edge / non-edge."""
-    n = K.n
-    edge_ok = [0] * n
-    non_ok = [0] * n
-    for u in range(n):
-        if K.vertex_colors[u] == BLACK:
-            edge_ok[u] |= 1 << u
-        else:
-            non_ok[u] |= 1 << u
-    for i, j, color in K.pairs():
-        if color in (BLACK, GRAY):
-            edge_ok[i] |= 1 << j
-            edge_ok[j] |= 1 << i
-        if color in (WHITE, GRAY):
-            non_ok[i] |= 1 << j
-            non_ok[j] |= 1 << i
+    """For each image u: bitmask of images w compatible with an H-edge / non-edge,
+    read off the rows of K.colors, the diagonal included."""
+    edge_ok = [sum(1 << w for w, c in enumerate(row) if c != WHITE) for row in K.colors]
+    non_ok = [sum(1 << w for w, c in enumerate(row) if c != BLACK) for row in K.colors]
     return edge_ok, non_ok
 
 
-def _interchangeable_classes(edge_ok: list[int], non_ok: list[int]) -> list[list[int]]:
-    """Partition V(K) into twin classes, each in vertex order, from K's
-    feasibility masks.
+def _interchangeable_classes(colors: tuple[tuple[str, ...], ...]) -> list[list[int]]:
+    """Partition V(K) into twin classes, each in vertex order, from the
+    color matrix K.colors.
 
     Twins share a vertex color and the edge color toward every third vertex.
     Twinship is an equivalence relation and forces one edge color inside a
     class, so any permutation of a class is a CRG automorphism, and the
     search may insist that class members enter the image in class order.
-    All-gray CRGs collapse to at most two classes.  The feasibility masks
-    carry every color: the diagonal bit of edge_ok marks a black vertex, and
-    edge_ok and non_ok together tell a black, gray and white pair apart.
+    All-gray CRGs collapse to at most two classes.
     """
 
     def twins(u: int, v: int) -> bool:
-        third = ~(1 << u | 1 << v)
-        return edge_ok[u] >> u & 1 == edge_ok[v] >> v & 1 and not (
-            (edge_ok[u] ^ edge_ok[v]) | (non_ok[u] ^ non_ok[v])
-        ) & third
+        return colors[u][u] == colors[v][v] and all(
+            colors[u][w] == colors[v][w] for w in range(len(colors)) if w not in (u, v)
+        )
 
     classes: list[list[int]] = []
-    for v in range(len(edge_ok)):
+    for v in range(len(colors)):
         home = next((members for members in classes if twins(members[0], v)), None)
         if home is None:
             classes.append([v])
@@ -314,7 +299,7 @@ def _crg_plan(K: Crg) -> tuple:
     # this one fill order.
     successor = [0] * K.n
     first_fresh = 0
-    for members in _interchangeable_classes(edge_ok, non_ok):
+    for members in _interchangeable_classes(K.colors):
         first_fresh |= 1 << members[0]
         for v, nxt in zip(members, members[1:]):
             successor[v] = 1 << nxt

@@ -423,24 +423,17 @@ def degree_report(K: Crg, g: GValue) -> DegreeReport:
     x = g.weights
     if len(x) != K.n:
         raise ParameterDomainError("weight vector does not match the CRG")
-    gray = [x[0] * 0] * K.n
-    count = [0] * K.n
-    for i, j, color in K.pairs():
-        if color == GRAY:
-            gray[i] += x[j]
-            gray[j] += x[i]
-            count[i] += 1
-            count[j] += 1
-    return DegreeReport(tuple(gray), tuple(count))
+    return DegreeReport(
+        tuple(sum((w for w, c in zip(x, row) if c == GRAY), x[0] * 0) for row in K.colors),
+        tuple(row.count(GRAY) for row in K.colors),
+    )
 
 
 def is_p_core(K: Crg, p: Number) -> bool:
     """Does K strictly beat every proper nonempty induced sub-CRG at this p?
 
-    Exact rational comparison when p is given as a rational; a float p is
-    converted exactly but the strict gap must then exceed 1e-12, so that
-    float callers cannot mistake roundoff for strictness.  K may have at most
-    EXACT_SWEEP_BOUND vertices.
+    Exact rational comparison; a float p is first converted to its exact
+    rational value.  K may have at most EXACT_SWEEP_BOUND vertices.
 
     K is a p-core exactly when A = b * M(p) is positive definite and
     u = d * A^-1 1 is strictly positive.  If so, the form is strictly convex
@@ -450,27 +443,18 @@ def is_p_core(K: Crg, p: Number) -> bool:
     vector of A the value would stay flat (see _stationary_points) until it
     reached one, so A is invertible, PD by the lemma in the module docstring,
     and u is a positive multiple of x*.  So a clashing or tied pair (an
-    O(n^2) check) or one solve of the full face decides.  With a float p, a
-    True verdict also walks the proper faces, which hold each sub-CRG's
-    winning support, and the first whose value lies within the margin of the
-    full face's makes it False.
+    O(n^2) check) or one solve of the full face decides.
     """
-    margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
     p = to_fraction(p)
     if not 0 < p < 1:
         raise ParameterDomainError("is_p_core needs 0 < p < 1")
-    rates, scale = rate_matrix(K, p)
+    rates, _ = rate_matrix(K, p)
     vertices = range(K.n)
     if any(_clashes(rates, vertices)):
         return False
     solved = _solve_face(rates, vertices)
     if solved is None or min(solved[1]) <= 0:
         return False
-    if margin:
-        g_full, full = Fraction(solved[0], scale * sum(solved[1])), (1 << K.n) - 1
-        for bits, d, u in _stationary_points(rates, vertices):
-            if bits != full and Fraction(d, scale * sum(u)) - g_full <= margin:
-                return False
     if not p_core_structure_ok(K, p):
         # p-core CRGs provably carry this edge-color structure, so reaching
         # here means the optimizer itself is wrong

@@ -222,6 +222,20 @@ def test_pairs_walk_the_edge_colors_in_combinations_order():
             assert list(K.pairs()) == expected
 
 
+def test_colors_is_the_pair_color_matrix_with_vertex_colors_on_the_diagonal():
+    rng = random.Random(34)
+    cases = [random_crg(rng, n) for n in range(1, 11) for _ in range(3)]
+    cases += [k_rs(2, 3), gray_cycle_crg(1, 5)]
+    for K in cases:
+        colors = K.colors
+        assert colors is K.colors
+        assert type(colors) is tuple and all(type(row) is tuple for row in colors)
+        assert [len(row) for row in colors] == [K.n] * K.n
+        assert tuple(colors[v][v] for v in range(K.n)) == K.vertex_colors
+        for i, j in itertools.permutations(range(K.n), 2):
+            assert colors[i][j] == colors[j][i] == K.edge_color(i, j), (K, i, j)
+
+
 def test_crg_json_roundtrip():
     rng = random.Random(13)
     for _ in range(20):

@@ -41,7 +41,7 @@ from edcycles.spectrum import power_cycle_spectrum
 
 
 def twin_classes(K):
-    return _interchangeable_classes(*_feasibility_masks(K))
+    return _interchangeable_classes(K.colors)
 
 
 def orbits(K):
@@ -389,6 +389,22 @@ def test_shared_domain_alone_refutes():
     assert find_embedding(H, K, timeout=None) is None
     assert plain_find_embedding(H, K) is None
     assert find_embedding(Graph.from_edges(2, []), K, timeout=None) == (0, 1)
+
+
+def test_feasibility_masks_agree_with_the_independent_checker():
+    # Bit w of edge_ok[u] (non_ok[u]) is set exactly when verify_embedding
+    # accepts (u, w) for an edge (a non-edge) on two vertices; u == w checks
+    # the diagonal, where a black vertex takes an edge and a white one a
+    # non-edge.
+    rng = random.Random(3401)
+    cases = [random_crg(rng, n) for n in range(1, 11) for _ in range(3)]
+    cases += [k_rs(2, 3), gray_cycle_crg(1, 5)]
+    edge, non_edge = Graph.from_edges(2, [(0, 1)]), Graph.from_edges(2, [])
+    for K in cases:
+        edge_ok, non_ok = _feasibility_masks(K)
+        for u, w in itertools.product(range(K.n), repeat=2):
+            assert bool(edge_ok[u] >> w & 1) == verify_embedding(edge, K, (u, w)), (K, u, w)
+            assert bool(non_ok[u] >> w & 1) == verify_embedding(non_edge, K, (u, w)), (K, u, w)
 
 
 def test_interchangeable_classes_are_automorphism_orbits():

@@ -369,6 +369,18 @@ def test_degree_report_gray_on_random_crgs():
             gray = [w for w in range(K.n) if w != v and K.edge_color(v, w) == GRAY]
             assert report.gray[v] == sum(gv.weights[w] for w in gray)
             assert report.gray_neighbor_count[v] == len(gray)
+    # Float weights: each vertex adds its gray neighbours' weights in
+    # ascending order from 0.0, bit for bit as accumulation over K.pairs().
+    for _ in range(40):
+        K = random_crg(rng, rng.randint(1, 10))
+        weights = tuple(rng.random() / 7 for _ in range(K.n))
+        gray = [0.0] * K.n
+        for i, j, color in K.pairs():
+            if color == GRAY:
+                gray[i] += weights[j]
+                gray[j] += weights[i]
+        report = degree_report(K, GValue(0.0, weights, (), "numeric"))
+        assert [x.hex() for x in report.gray] == [x.hex() for x in gray], K
 
 
 def gauss_jordan_reference(M, support):
@@ -507,8 +519,7 @@ def reference_g_value(K, p, blocks=None) -> GValue:
 
 def reference_is_p_core(K, p) -> bool:
     """is_p_core from the unpruned sweep: the full face is feasible and beats
-    the best proper face by more than the margin."""
-    margin = Fraction(1, 10**12) if isinstance(p, float) else Fraction(0)
+    the best proper face."""
     full = (1 << K.n) - 1
     g_full, g_rest = None, None
     for bits, value, _ in reference_sweep(*rate_matrix(K, p), range(K.n)):
@@ -516,7 +527,7 @@ def reference_is_p_core(K, p) -> bool:
             g_full = value
         elif g_rest is None or value < g_rest:
             g_rest = value
-    return g_full is not None and (g_rest is None or g_rest - g_full > margin)
+    return g_full is not None and (g_rest is None or g_rest > g_full)
 
 
 def clashing_or_tied_pairs(K, p, support):
@@ -612,20 +623,27 @@ def test_rational_is_p_core_solves_at_most_the_full_face(bordered_faces):
     assert min(verdicts.values()) > 20, verdicts
 
 
-def test_float_is_p_core_sweeps_the_proper_faces_for_a_true_verdict(bordered_faces):
-    # The 1e-12 margin of a float p compares the full face with each proper
-    # face, so a True verdict walks all of them after the full face's own
-    # elimination; a rational p eliminates the full face alone.
+def test_float_is_p_core_is_the_verdict_of_its_exact_value(bordered_faces):
+    # A float p is converted to its exact binary rational, as at every other
+    # entry point, so a True verdict eliminates the full face alone: its
+    # prefixes, in order, and no proper face.
     K = k_rs(2, 1)
     full = [[0], [0, 1], [0, 1, 2]]
     bordered_faces.clear()
     assert is_p_core(K, 0.3)
-    walked = bordered_faces[len(full):]
-    assert bordered_faces[: len(full)] == full
-    assert sorted(walked) == sorted([i for i in range(3) if bits >> i & 1] for bits in range(1, 8))
-    bordered_faces.clear()
-    assert is_p_core(K, Fraction(3, 10))
     assert bordered_faces == full
+    bordered_faces.clear()
+    assert is_p_core(K, Fraction(0.3))
+    assert bordered_faces == full
+    rng = random.Random(1012)
+    verdicts = {True: 0, False: 0}
+    for k in range(300):
+        K = styled_crg(rng, rng.randint(1, 6), k // 3 % 3)
+        p = (0.1, 0.3, 0.7)[k % 3]
+        verdict = is_p_core(K, p)
+        assert verdict == is_p_core(K, Fraction(p)), (K, p)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 20, verdicts
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(37, 101), 0.3], ids=str)
